@@ -956,33 +956,21 @@ def _append_trajectory(payload: dict) -> Path | None:
 
 
 def _event_timing_shape(iters: int) -> None:
-    """The per-event enabled-path delta: four clock readings plus three
-    inline stage-cell folds — mirrors the ``telemetry.enabled`` branch
-    of ``ClusterSimulation.deliver_event`` line for line."""
+    """One delivery batch's timing: the driver's route stretch (a clock
+    pair and one fold, ``StreamDriver._pause``/``_resume``) plus the
+    backend's three clock readings and two folds
+    (``pipeline._apply_batch``) — mirrored line for line.  The real
+    path pays this once per batch; the caller charges it once per timed
+    event, an upper bound."""
     perf = time.perf_counter
-    route_cell = [0, 0.0, 0.0]
-    deliver_cell = [0, 0.0, 0.0]
-    consume_cell = [0, 0.0, 0.0]
+    telemetry = Telemetry()
     for _ in range(iters):
+        stretch = perf()
+        telemetry.stage_timer().add("route", perf() - stretch, 1)
         started = perf()
-        routed = perf()
         appended = perf()
-        consumed = perf()
-        seconds = routed - started
-        route_cell[0] += 1
-        route_cell[1] += seconds
-        if seconds > route_cell[2]:
-            route_cell[2] = seconds
-        seconds = appended - routed
-        deliver_cell[0] += 1
-        deliver_cell[1] += seconds
-        if seconds > deliver_cell[2]:
-            deliver_cell[2] = seconds
-        seconds = consumed - appended
-        consume_cell[0] += 1
-        consume_cell[1] += seconds
-        if seconds > consume_cell[2]:
-            consume_cell[2] = seconds
+        telemetry.stage_timer().add("deliver", appended - started, 1)
+        telemetry.stage_timer().add("bank_consume", perf() - appended, 1)
 
 
 def _make_observe_shape(telemetry: Telemetry):
@@ -1039,8 +1027,9 @@ def _measure_telemetry_overhead(
 
     The quantity under test is measurable directly instead.  The
     enabled-vs-disabled delta is, by the inertness contract, a fixed
-    set of extra operations — per delivered event the serial loop takes
-    four clock readings and folds three stage cells; per fsync (and per
+    set of extra operations — per delivery batch the stream driver and
+    its backend take five clock readings and fold three stage cells
+    (charged here once per *event*, an upper bound); per fsync (and per
     checkpoint) the storage layer takes a clock pair and feeds one
     histogram observation, one stage cell, and a trace guard.  The
     deterministic counters run in *both* arms, so they are not part of

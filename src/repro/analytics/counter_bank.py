@@ -14,12 +14,8 @@ are bookkeeping, never part of the reported memory.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Iterator, Sequence
-
-try:  # numpy accelerates batch coalescing when present; never required
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.analytics.report import BankErrorReport, KeyError_
 from repro.core.base import ApproximateCounter
@@ -164,45 +160,6 @@ class CounterBank:
             total += count
         return total
 
-    def consume_batch(
-        self, keys: Sequence[str], counts: Sequence[int]
-    ) -> int:
-        """Coalesce a bulk batch of per-key counts, then ingest it.
-
-        The batch is aggregated per key first (numpy-vectorized when
-        numpy is installed and the batch is large; a plain dict pass
-        otherwise) and applied in sorted-key order — exactly what a
-        coalescing write buffer holding the same batch would flush, so
-        the result is bit-identical to
-        ``consume_counts(sorted(aggregated.items()))``.  Returns the
-        increments applied.
-        """
-        if len(keys) != len(counts):
-            raise ParameterError(
-                f"keys and counts must align: {len(keys)} != {len(counts)}"
-            )
-        if not keys:
-            return 0
-        if _np is not None and len(keys) >= 64:
-            key_array = _np.asarray(keys, dtype=object)
-            count_array = _np.asarray(counts, dtype=_np.int64)
-            if count_array.min() < 0:
-                raise ParameterError(
-                    f"count must be non-negative, got {count_array.min()}"
-                )
-            unique, inverse = _np.unique(key_array, return_inverse=True)
-            summed = _np.bincount(
-                inverse, weights=count_array, minlength=len(unique)
-            ).astype(_np.int64)
-            # np.unique returns keys sorted, matching the flush order.
-            return self.consume_counts(
-                zip(unique.tolist(), summed.tolist())
-            )
-        aggregated: dict[str, int] = {}
-        for key, count in zip(keys, counts):
-            aggregated[key] = aggregated.get(key, 0) + count
-        return self.consume_counts(sorted(aggregated.items()))
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -215,6 +172,11 @@ class CounterBank:
     def tracks_truth(self) -> bool:
         """Whether exact shadow counts are kept."""
         return self._track_truth
+
+    @property
+    def truths(self) -> Mapping[str, int] | None:
+        """Read-only ``key -> exact count`` (``None`` when untracked)."""
+        return MappingProxyType(self._truth) if self._track_truth else None
 
     def __len__(self) -> int:
         return len(self._counters)

@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         metavar="EVENTS",
-        help="events per worker delivery batch (used with --workers > 1)",
+        help="routed events per node delivery batch (every plan)",
     )
     cluster.add_argument(
         "--wal-fsync",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analytics.report import BankErrorReport, KeyError_
 from repro.cluster.node import IngestNode
@@ -35,6 +35,7 @@ from repro.memory.model import SpaceModel
 __all__ = [
     "GlobalView",
     "MergeTreeAggregator",
+    "fold_banks",
     "merge_views",
     "tree_merge",
     "view_fingerprint",
@@ -65,12 +66,8 @@ def tree_merge(
 
     Each group folds through :func:`~repro.core.merge.merge_all`, which
     clones before merging — so even single-counter input yields a fresh
-    counter, never an alias of node state.  This is the one merge shape
-    both read paths share: the central
-    :class:`MergeTreeAggregator` and the decentralized gossip digests
-    (:mod:`repro.cluster.gossip`) fold per-key counters exactly the same
-    way, which is what makes a converged gossip read equal the central
-    answer bit for bit on ``exact`` templates.
+    counter, never an alias of node state.  :func:`fold_banks` applies
+    it per key for every read path.
     """
     if fanout < 2:
         raise ParameterError(f"fanout must be >= 2, got {fanout}")
@@ -85,6 +82,50 @@ def tree_merge(
         ]
         rounds += 1
     return level[0], rounds
+
+
+def fold_banks(
+    parts: Sequence[
+        tuple[
+            Iterable[tuple[str, ApproximateCounter]],
+            Mapping[str, int] | None,
+        ]
+    ],
+    fanout: int,
+    epoch: int,
+) -> "GlobalView":
+    """Fold per-part counters into one :class:`GlobalView`.
+
+    Each part is ``(counters, truth)``: the part's ``(key, counter)``
+    pairs and its exact counts per key (``None`` when the part does not
+    track truth).  Counters are grouped by key in part order and folded
+    with :func:`tree_merge`; the view reports truth only when every
+    part has it.  This is the one fold every read path shares — the
+    central aggregator over node banks, a gossip digest over its
+    entries, a fleet reader over pulled worker banks — so all of them
+    answer the same keys bit for bit.
+    """
+    per_key: dict[str, list[ApproximateCounter]] = {}
+    for counters, _ in parts:
+        for key, counter in counters:
+            per_key.setdefault(key, []).append(counter)
+    truths = [part_truth for _, part_truth in parts]
+    truth: dict[str, int] | None = (
+        {} if all(part is not None for part in truths) else None
+    )
+    merged: dict[str, ApproximateCounter] = {}
+    max_rounds = 0
+    for key in sorted(per_key):
+        try:
+            merged[key], rounds = tree_merge(per_key[key], fanout)
+        except MergeError as exc:
+            raise MergeError(f"cannot aggregate key {key!r}: {exc}") from exc
+        max_rounds = max(max_rounds, rounds)
+        if truth is not None:
+            truth[key] = sum(part.get(key, 0) for part in truths)
+    return GlobalView(
+        counters=merged, truth=truth, merge_rounds=max_rounds, epoch=epoch
+    )
 
 
 @dataclass(frozen=True)
@@ -210,15 +251,6 @@ class MergeTreeAggregator:
             self._epoch = epoch
 
     # ------------------------------------------------------------------
-    # merge tree
-    # ------------------------------------------------------------------
-    def _tree_merge(
-        self, counters: Sequence[ApproximateCounter]
-    ) -> tuple[ApproximateCounter, int]:
-        """Fold counters up the aggregator's tree (see :func:`tree_merge`)."""
-        return tree_merge(counters, self._fanout)
-
-    # ------------------------------------------------------------------
     # scratch-merge queries
     # ------------------------------------------------------------------
     def global_estimate(self, key: str) -> float:
@@ -230,7 +262,7 @@ class MergeTreeAggregator:
         present = [c for c in counters if c is not None]
         if not present:
             return 0.0
-        merged, _ = self._tree_merge(present)
+        merged, _ = tree_merge(present, self._fanout)
         return merged.estimate()
 
     def global_view(self) -> GlobalView:
@@ -259,33 +291,10 @@ class MergeTreeAggregator:
         """
         for node in self._nodes:
             node.flush()
-        per_key: dict[str, list[ApproximateCounter]] = {}
-        for node in self._nodes:
-            for key, counter in node.bank.items():
-                per_key.setdefault(key, []).append(counter)
-        track_truth = all(node.bank.tracks_truth for node in self._nodes)
-        truth: dict[str, int] | None = {} if track_truth else None
-        merged: dict[str, ApproximateCounter] = {}
-        max_rounds = 0
-        for key in sorted(per_key):
-            try:
-                merged[key], rounds = self._tree_merge(per_key[key])
-            except MergeError as exc:
-                raise MergeError(
-                    f"cannot aggregate key {key!r}: {exc}"
-                ) from exc
-            max_rounds = max(max_rounds, rounds)
-            if truth is not None:
-                truth[key] = sum(
-                    node.bank.truth(key)
-                    for node in self._nodes
-                    if key in node.bank
-                )
-        return GlobalView(
-            counters=merged,
-            truth=truth,
-            merge_rounds=max_rounds,
-            epoch=self._epoch,
+        return fold_banks(
+            [(node.bank.items(), node.bank.truths) for node in self._nodes],
+            self._fanout,
+            self._epoch,
         )
 
     # ------------------------------------------------------------------

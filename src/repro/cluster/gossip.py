@@ -22,7 +22,7 @@ shadow counts) stamped with a monotone per-origin version.  Merging two
 digests keeps, per origin, the entry with the larger version — never a
 sum — so each origin's traffic is represented exactly once no matter how
 many times its entry is forwarded.  A node's read then tree-merges the
-per-origin entries (:func:`~repro.cluster.aggregator.tree_merge`, the
+per-origin entries (:func:`~repro.cluster.aggregator.fold_banks`, the
 same fold the central aggregator uses), and Remark 2.4 makes that merge
 distribution-exact.
 
@@ -68,11 +68,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.cluster.aggregator import GlobalView, tree_merge
+from repro.cluster.aggregator import GlobalView, fold_banks
 from repro.cluster.node import IngestNode
 from repro.core.base import ApproximateCounter
 from repro.core.merge import merge_all
-from repro.errors import MergeError, ParameterError, StateError
+from repro.errors import ParameterError, StateError
 from repro.rng.bitstream import BitBudgetedRandom
 from repro.rng.splitmix import derive_seed
 
@@ -232,7 +232,7 @@ class NodeDigest:
     def view(self, fanout: int = 2) -> GlobalView:
         """This node's local read: tree-merge the per-origin entries.
 
-        The fold is :func:`~repro.cluster.aggregator.tree_merge` over
+        The fold is :func:`~repro.cluster.aggregator.fold_banks` over
         entries in sorted-origin order — the same shape the central
         aggregator uses — so on ``exact`` templates a complete digest's
         view equals :meth:`~repro.cluster.aggregator.MergeTreeAggregator.
@@ -240,34 +240,11 @@ class NodeDigest:
         held entry carries it; the view's ``epoch`` is the newest entry
         epoch (0 for an empty digest).
         """
-        per_key: dict[str, list[ApproximateCounter]] = {}
         entries = [self._entries[origin] for origin in self.origins]
-        for entry in entries:
-            for key, counter in entry.counters.items():
-                per_key.setdefault(key, []).append(counter)
-        tracked = all(entry.truth is not None for entry in entries)
-        truth: dict[str, int] | None = {} if tracked else None
-        merged: dict[str, ApproximateCounter] = {}
-        max_rounds = 0
-        for key in sorted(per_key):
-            try:
-                merged[key], rounds = tree_merge(per_key[key], fanout)
-            except MergeError as exc:
-                raise MergeError(
-                    f"cannot aggregate key {key!r}: {exc}"
-                ) from exc
-            max_rounds = max(max_rounds, rounds)
-            if truth is not None:
-                truth[key] = sum(
-                    entry.truth.get(key, 0)
-                    for entry in entries
-                    if entry.truth is not None
-                )
-        return GlobalView(
-            counters=merged,
-            truth=truth,
-            merge_rounds=max_rounds,
-            epoch=max((entry.epoch for entry in entries), default=0),
+        return fold_banks(
+            [(entry.counters.items(), entry.truth) for entry in entries],
+            fanout,
+            max((entry.epoch for entry in entries), default=0),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

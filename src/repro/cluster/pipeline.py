@@ -1,53 +1,62 @@
-"""Execution plans: how the event stream reaches the ingest nodes.
+"""Execution plans: one stream driver over three delivery backends.
 
-The simulation's event loop is pluggable.  An :class:`ExecutionPlan`
-owns the *delivery* of a routed stream — everything between "the next
-:class:`~repro.stream.workload.KeyedEvent` exists" and "its owning
-:class:`~repro.cluster.node.IngestNode` has buffered it" — while the
-simulation keeps owning routing, checkpoints, crashes, scale events,
-and retention.  Three plans ship, selected by name through
-``PLAN_REGISTRY`` (``ClusterConfig.plan``; the default ``"auto"``
-keeps the historical worker-count rule):
+Every plan runs the same event loop, :class:`StreamDriver`.  The driver
+owns everything that decides *what* the cluster computes:
 
-* :class:`SerialPlan` (``"serial"``) — the historical single-threaded
-  loop, extracted verbatim.  Route, append to the WAL, submit, maybe
-  checkpoint, one event at a time.
-* :class:`ParallelPlan` (``"parallel"``) — worker-sharded delivery.
-  The coordinator thread routes every event in stream order (hot-key
-  round-robin cursors and topology epochs stay sequential),
-  accumulates per-node batches of ``delivery_batch`` events, and hands
-  each batch to a ``ThreadPoolExecutor`` worker that appends the
-  events to the node's write-ahead log and applies them to the node's
-  coalescing buffer.
-* :class:`ProcessPlan` (``"process"``) — one OS worker process per
-  node (a :class:`WorkerFleet` of ``python -m repro.cluster.worker``
-  subprocesses fed over the checksummed frame protocol of
-  :mod:`repro.cluster.transport`).  The coordinator still routes in
-  stream order and keeps ALL durable state — WAL appends at route
-  time, checkpoint saves (captured *in* the worker via the fence
-  handshake), migration journal, manifest — so ``recover_cluster``
-  and the torn-fence protocol apply unchanged; its in-process nodes
-  become passive mirrors, resynced from worker snapshots at every
-  barrier.  Scheduled crashes really ``SIGKILL`` the worker.
+* the barriers scheduled at a stream position, in one fixed order —
+  retention boundary, gossip round, scale events, crashes — run before
+  the event at that position, against drained nodes;
+* routing, on the coordinator thread in stream order (hot-key
+  round-robin cursors and topology epochs are sequential state);
+* the per-event bookkeeping: stream position, checkpoint budget,
+  dead-node deferral, ``event_delivered``/``event_deferred`` traces;
+* the per-node checkpoint and WAL segment-fence decision
+  (:meth:`~repro.cluster.simulation.ClusterSimulation.fence_due`);
+* stage timing, a few clock reads per delivery batch.
 
-Why the parallel plan is bit-identical to the serial one
---------------------------------------------------------
+Routed events accumulate per node into batches of ``delivery_batch``
+events.  A :class:`DeliveryBackend` decides only *where* a batch is
+applied: ``send(node_id, batch)`` hands one over, ``drain(node_ids)``
+returns once everything sent to those nodes has landed, and
+``barrier()`` brackets the scheduled cluster operations.  Three plans
+ship, selected by name through ``PLAN_REGISTRY``
+(``ClusterConfig.plan``; the default ``"auto"`` keeps the historical
+worker-count rule):
+
+* :class:`SerialPlan` (``"serial"``) — :class:`DeliveryBackend` itself
+  applies each batch inline: WAL append, then buffer submit.
+* :class:`ParallelPlan` (``"parallel"``) — :class:`ThreadBackend`
+  applies each batch on a ``ThreadPoolExecutor`` worker, the WAL
+  append included, one thread per node at a time.
+* :class:`ProcessPlan` (``"process"``) — :class:`FleetBackend` ships
+  each batch to the node's OS worker process (a :class:`WorkerFleet`
+  of ``python -m repro.cluster.worker`` subprocesses fed over the
+  checksummed frame protocol of :mod:`repro.cluster.transport`), while
+  the coordinator keeps all durable state.
+
+:meth:`~repro.cluster.simulation.ClusterSimulation.deliver_event` is
+one :meth:`StreamDriver.step` with inline delivery and a batch of one.
+
+Why every plan computes the same thing
+--------------------------------------
 Three facts carry the proof:
 
-1. **Per-node order is preserved.**  Batches for one node form a chain
-   (each worker task waits for the node's previous batch), so every
-   node sees exactly its serial sub-stream, in arrival order.  Nodes
-   share no mutable state — a node's bank, buffer, and WAL segments
-   are touched only by the one worker currently confined to it.
+1. **Per-node order is preserved.**  A node's batches are applied in
+   the order they were sent (the thread backend chains each batch's
+   task on the node's previous one), so every node sees exactly its
+   serial sub-stream, in arrival order.  Nodes share no mutable state —
+   a node's bank, buffer, and WAL segments are touched only by the one
+   thread currently confined to it.
 2. **Control decisions are pure functions of the routed stream.**
    Checkpoint positions (the periodic budget and the WAL segment
-   fence) depend only on per-node delivered counts, which the
-   coordinator tracks as it routes; it therefore fences at exactly
-   the stream positions the serial loop would.
-3. **Barriers drain.**  Retention boundaries, scale events, and
-   crashes only run after a *drain handshake* — every dispatched
-   batch applied, no worker in flight — so they observe exactly the
-   state the serial loop would at that position, and recovery
+   fence) depend only on per-node delivered counts, which the driver
+   tracks as it routes; it fences at the same stream positions
+   whatever the backend, and drains the node first.
+3. **Barriers drain.**  Retention boundaries, gossip rounds, scale
+   events, crashes, and the end of the stream run only after every
+   routed event is sent and (except for the process plan's crashes,
+   which recover from the WAL) applied, so they observe exactly the
+   state an unbatched loop would at that position, and recovery
    semantics (checkpoint + log replay) are untouched.
 
 Merges being distribution-exact (Remark 2.4) is what makes this worth
@@ -58,13 +67,15 @@ template — ``tests/cluster/test_pipeline.py`` pins both.
 
 Where the speedup comes from
 ----------------------------
-Pure-Python counter updates serialize on the GIL, so worker-sharding
-pays off where delivery *blocks*: durable ingest.  With a file-backed
+Pure-Python counter updates serialize on the GIL, so thread workers
+pay off where delivery *blocks*: durable ingest.  With a file-backed
 store and group-commit fsync (``wal_fsync_every``), each node's worker
 spends most of its time in ``os.fsync`` — which releases the GIL — so
 N workers overlap N nodes' commit stalls instead of paying them
 end-to-end on one thread (``benchmarks/bench_cluster.py --scenario
-throughput`` measures exactly this).
+throughput`` measures exactly this).  Worker processes run counter
+updates on separate interpreters, so CPU-bound templates scale with
+cores.
 
 >>> from repro.cluster.simulation import ClusterConfig
 >>> make_plan(ClusterConfig(n_nodes=2)).name
@@ -82,9 +93,10 @@ import subprocess
 import sys
 from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from threading import Lock
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.cluster.checkpoint import BankCheckpoint
 from repro.cluster.node import IngestNode
@@ -103,6 +115,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     )
 
 __all__ = [
+    "StreamDriver",
+    "DeliveryBackend",
+    "ThreadBackend",
+    "FleetBackend",
     "ExecutionPlan",
     "SerialPlan",
     "ParallelPlan",
@@ -115,275 +131,340 @@ __all__ = [
 ]
 
 
-def _index_schedule(
-    config: "ClusterConfig",
-) -> tuple[dict[int, list["ScaleEvent"]], dict[int, list["NodeFailure"]]]:
-    """Position-indexed lookups for the config's scale/failure schedule."""
-    scales: dict[int, list["ScaleEvent"]] = {}
-    for scale in config.scale_events:
-        scales.setdefault(scale.at_event, []).append(scale)
-    failures: dict[int, list["NodeFailure"]] = {}
-    for failure in config.failures:
-        failures.setdefault(failure.at_event, []).append(failure)
-    return scales, failures
+class StreamDriver:
+    """The one event loop behind every execution plan.
 
-
-class ExecutionPlan(abc.ABC):
-    """Strategy for driving one event stream through a simulation.
-
-    A plan may reorder *wall-clock* work however it likes, but must
-    deliver every node's sub-stream in arrival order and run the
-    scheduled barriers (retention boundary, gossip round, scale
-    events, crashes — in that order, before the event at their
-    position) against fully drained nodes, so that what the cluster
-    computes stays a pure function of ``(config, stream)``.
+    :meth:`run` drives a whole stream, barriers included; :meth:`step`
+    routes and accounts for one event.  It is the simulation's event
+    loop, kept beside the backends it feeds, so it advances the
+    simulation's delivery bookkeeping (stream position, checkpoint
+    budgets) directly.  The ``route`` stage times the coordinator's
+    per-event work between two hand-offs to the backend.
     """
 
-    #: Short name used in logs, reprs, and tests.
-    name: str = "?"
-
-    @abc.abstractmethod
-    def execute(
+    def __init__(
         self,
         simulation: "ClusterSimulation",
-        events: Iterable[KeyedEvent],
+        backend: "DeliveryBackend",
+        delivery_batch: int,
     ) -> None:
-        """Deliver ``events``; returns when every event is buffered."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class SerialPlan(ExecutionPlan):
-    """The historical single-threaded event loop, extracted.
-
-    At one stream position the order is fixed: retention boundary,
-    then gossip round, then scale events, then crashes, then the event
-    itself — the contract every plan (and the determinism tests)
-    relies on.
-    """
-
-    name = "serial"
-
-    def execute(
-        self,
-        simulation: "ClusterSimulation",
-        events: Iterable[KeyedEvent],
-    ) -> None:
+        self._simulation = simulation
+        self._backend = backend
+        self._batch = delivery_batch
+        self._route = simulation.router.route_event
+        self._wal = simulation.store.wal
+        self._since_checkpoint = simulation._since_checkpoint
+        self._dead = simulation._dead
+        telemetry = simulation.telemetry
+        self._telemetry = telemetry
+        self._tracing = telemetry.trace_active
+        self._timer = telemetry.stage_timer()
         config = simulation.config
-        scales, failures = _index_schedule(config)
+        #: Gossip rounds are exact stream positions too — every
+        #: ``gossip_every`` events of a run — so they fence like the
+        #: other barriers and every plan gossips against the same state.
+        self._gossip_every = (
+            config.gossip_every if simulation.gossip is not None else None
+        )
+        #: node id -> routed-but-unsent events, in stream order.
+        self._pending: dict[int, list[KeyedEvent]] = {}
+        #: node id -> the node's retained WAL length, counting routed
+        #: events not yet appended.  Exact after every drain; read
+        #: lazily from the WAL after a barrier (which may checkpoint
+        #: any node), so the segment fence fires at the same stream
+        #: position whether or not the backend has caught up.
+        self._retained: dict[int, int] = {}
+        self._routed = 0
+        self._stretch = perf_counter()
+
+    # ------------------------------------------------------------------
+    # stage timing
+    # ------------------------------------------------------------------
+    def _pause(self) -> None:
+        """Fold the routing stretch since :meth:`_resume` into ``route``."""
+        self._timer.add(
+            "route", perf_counter() - self._stretch, self._routed
+        )
+        self._routed = 0
+
+    def _resume(self) -> None:
+        self._stretch = perf_counter()
+
+    # ------------------------------------------------------------------
+    # delivery
+    # ------------------------------------------------------------------
+    def _send(self, node_id: int) -> None:
+        batch = self._pending.pop(node_id, None)
+        if batch:
+            self._backend.send(node_id, batch)
+
+    def _send_all(self) -> None:
+        for node_id in sorted(self._pending):
+            self._send(node_id)
+
+    def step(self, event: KeyedEvent) -> None:
+        """Route one event and account for it.
+
+        Sends the node's batch once it holds ``delivery_batch`` events,
+        and fences the node — send, drain, checkpoint — when
+        :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due`
+        says so.
+        """
+        simulation = self._simulation
+        node_id = self._route(event)
+        self._routed += 1
+        simulation._stream_position += 1
+        batch = self._pending.get(node_id)
+        if batch is None:
+            batch = self._pending[node_id] = []
+        batch.append(event)
+        retained = self._retained.get(node_id)
+        if retained is None:
+            retained = self._wal.retained_events(node_id)
+        retained += 1
+        self._retained[node_id] = retained
+        # A dead node still owns its key range: the event parks in its
+        # durable log (the ingest tier's unacknowledged queue) and
+        # replays into the bank when membership heals the node.  No
+        # checkpoint budget and no fence — a dead node's WAL grows past
+        # the segment bound on purpose, and fencing it would lose
+        # events; the heal fences.
+        dead = node_id in self._dead
+        if self._tracing:
+            self._telemetry.position = simulation._stream_position
+            self._telemetry.trace(
+                "event_deferred" if dead else "event_delivered",
+                node=node_id,
+                count=event.count,
+            )
+        if not dead:
+            self._since_checkpoint[node_id] += event.count
+            if simulation.fence_due(node_id, retained):
+                # Per-node fence: only this node's batches must land
+                # before its checkpoint; the other nodes keep streaming.
+                self._pause()
+                self._send(node_id)
+                self._backend.drain((node_id,))
+                simulation.checkpoint_node(node_id)
+                self._retained[node_id] = 0
+                self._resume()
+                return
+        if len(batch) >= self._batch:
+            self._pause()
+            self._send(node_id)
+            self._resume()
+
+    # ------------------------------------------------------------------
+    # the stream
+    # ------------------------------------------------------------------
+    def _barrier(self, position: int) -> None:
+        """Run every barrier scheduled just before ``position``.
+
+        The order is fixed — retention boundary, gossip round, scale
+        events, crashes — and every plan relies on it.  Each runs after
+        every routed event is sent and the backend's barrier has
+        drained (or, for the process plan, resynced) the nodes.
+        """
+        simulation = self._simulation
+        config = simulation.config
         retention = config.retention
-        position = 0
-        for event in events:
-            if retention is not None and retention.is_boundary(position):
-                simulation.collapse_window()
-            if simulation.gossip_due(position):
+        boundary = retention is not None and retention.is_boundary(position)
+        every = self._gossip_every
+        gossip = every is not None and position > 0 and position % every == 0
+        scales = [s for s in config.scale_events if s.at_event == position]
+        backend = self._backend
+        self._pause()
+        self._send_all()
+        with backend.barrier(resync=boundary or bool(scales)):
+            if boundary:
+                backend.collapse_window()
+            if gossip:
                 simulation.gossip_round()
-            for scale in scales.get(position, ()):
-                simulation.apply_scale(scale)
-            for failure in failures.get(position, ()):
-                simulation.apply_failure(failure)
-            simulation.deliver_event(event)
-            position += 1
+            for scale in scales:
+                backend.apply_scale(scale)
+            for failure in config.failures:
+                if failure.at_event == position:
+                    backend.apply_failure(failure)
+        self._retained.clear()
+        self._resume()
+
+    def run(self, events: Iterable[KeyedEvent]) -> None:
+        """Deliver ``events``; returns when every event is applied.
+
+        Barrier positions are found without testing every event:
+        scheduled scale events and crashes sit at listed positions,
+        retention boundaries and gossip rounds on multiples of their
+        period; :meth:`_barrier` re-checks each predicate.
+        """
+        simulation = self._simulation
+        config = simulation.config
+        listed = {
+            action.at_event
+            for action in (*config.scale_events, *config.failures)
+        }
+        retention = config.retention
+        periods = [retention.window_events] if retention is not None else []
+        if self._gossip_every is not None:
+            periods.append(self._gossip_every)
+
+        def next_stop(position: int) -> int | None:
+            stops = [at for at in listed if at > position]
+            stops += [(max(position, 0) // p + 1) * p for p in periods]
+            return min(stops, default=None)
+
+        with self._backend:
+            self._resume()
+            stop = next_stop(-1)
+            for position, event in enumerate(events):
+                if position == stop:
+                    self._barrier(position)
+                    stop = next_stop(position)
+                self.step(event)
+            self._pause()
+            # End of stream is the final barrier: everything lands (the
+            # process plan also pulls the workers into its mirrors at
+            # the point where the run's closing flush happens).
+            self._send_all()
+            with self._backend.barrier(resync=True):
+                pass
 
 
-class ParallelPlan(ExecutionPlan):
-    """Worker-sharded delivery behind a sequential coordinator.
+class DeliveryBackend:
+    """Where routed batches are applied: inline, on the calling thread.
 
-    The coordinator routes (stream order), batches per owning node,
-    and decides checkpoints from its own delivered-count bookkeeping;
-    ``workers`` pool threads apply the batches.  Per-node batches are
-    chained — a batch's task first waits on the node's previous batch
-    — so one node is only ever touched by one thread at a time, which
-    each task also *verifies* with a non-blocking lock (a violation
-    raises :class:`~repro.errors.StateError` instead of corrupting a
-    bank).  Checkpoints, crashes, scale events, and window collapses
-    fence through a drain handshake: dispatch what is pending, wait
-    for the affected nodes' chains, then act.
-
-    Profiling: when the simulation's telemetry is enabled, the
-    coordinator times the ``route`` stage around each routing decision
-    with its own thread-private
-    :class:`~repro.obs.timers.StageTimer`; workers time ``deliver`` /
-    ``bank_consume`` / ``fsync`` into theirs (see
-    :meth:`~repro.cluster.simulation.ClusterSimulation.apply_events`).
-    Per-worker timers are merged only at snapshot time, so the hot
-    path takes no locks and disabled telemetry skips the clock reads
-    entirely.
+    The serial plan's backend and the base of the other two.  A
+    backend is a context manager around one :meth:`StreamDriver.run`;
+    subclasses move :meth:`send` elsewhere and override the hooks that
+    keep their copies of node state in step with the simulation.
     """
 
-    name = "parallel"
+    def __init__(self, simulation: "ClusterSimulation") -> None:
+        self._simulation = simulation
 
-    def __init__(self, workers: int, delivery_batch: int = 64) -> None:
-        if workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {workers}")
-        if delivery_batch < 1:
-            raise ParameterError(
-                f"delivery_batch must be >= 1, got {delivery_batch}"
-            )
+    def __enter__(self) -> "DeliveryBackend":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
+
+    def _log(self, node_id: int, batch: list[KeyedEvent]) -> None:
+        """WAL-append one node's batch, timed as the ``deliver`` stage."""
+        append = self._simulation.store.wal.append
+        started = perf_counter()
+        for event in batch:
+            append(node_id, event)
+        self._simulation.telemetry.stage_timer().add(
+            "deliver", perf_counter() - started, len(batch)
+        )
+
+    def send(self, node_id: int, batch: list[KeyedEvent]) -> None:
+        """Hand over one node's next batch: log and apply it inline.
+
+        This touches only ``node_id``'s state (its WAL segments and its
+        node's buffer and bank), which is what makes concurrent calls
+        for *different* nodes safe without locks.  A dead node's batch
+        parks in its WAL only; the heal's WAL replay applies it.
+        """
+        simulation = self._simulation
+        self._log(node_id, batch)
+        if simulation.is_node_dead(node_id):
+            return
+        started = perf_counter()
+        simulation._nodes[node_id].submit_all(batch)
+        simulation.telemetry.stage_timer().add(
+            "bank_consume", perf_counter() - started, len(batch)
+        )
+
+    def drain(self, node_ids: Sequence[int]) -> None:
+        """Return once every batch sent to ``node_ids`` is applied."""
+
+    @contextmanager
+    def barrier(self, resync: bool) -> Iterator[None]:
+        """Bracket scheduled cluster operations (and the end of the
+        stream); ``resync`` is set when they read or rewrite every
+        node's state (a window collapse or a scale event)."""
+        yield
+
+    def collapse_window(self) -> None:
+        self._simulation.collapse_window()
+
+    def apply_scale(self, scale: "ScaleEvent") -> None:
+        self._simulation.apply_scale(scale)
+
+    def apply_failure(self, failure: "NodeFailure") -> None:
+        self._simulation.apply_failure(failure)
+
+
+class ThreadBackend(DeliveryBackend):
+    """Batches applied by a pool of ``workers`` threads.
+
+    A node's batches form a chain — each task first waits on the node's
+    previous batch — so one node is only ever touched by one thread at
+    a time, which each task also *verifies* with a non-blocking lock (a
+    violation raises :class:`~repro.errors.StateError` instead of
+    corrupting a bank).  Worker threads time ``deliver`` and
+    ``bank_consume`` into their own thread-confined timers, merged only
+    at snapshot time, so the hot path takes no locks.
+    """
+
+    def __init__(self, simulation: "ClusterSimulation", workers: int) -> None:
+        super().__init__(simulation)
         self._workers = workers
-        self._delivery_batch = delivery_batch
-
-    @property
-    def workers(self) -> int:
-        """Size of the node-worker thread pool."""
-        return self._workers
-
-    @property
-    def delivery_batch(self) -> int:
-        """Routed events accumulated per node before dispatch."""
-        return self._delivery_batch
-
-    def execute(
-        self,
-        simulation: "ClusterSimulation",
-        events: Iterable[KeyedEvent],
-    ) -> None:
-        config = simulation.config
-        scales, failures = _index_schedule(config)
-        retention = config.retention
-        segment = config.wal_segment_events
-        wal = simulation.store.wal
-
-        #: node id -> routed-but-undispatched events, in stream order.
-        pending: dict[int, list[KeyedEvent]] = defaultdict(list)
         #: node id -> the tail of the node's batch chain.
-        tails: dict[int, Future] = {}
+        self._tails: dict[int, Future] = {}
         #: node id -> confinement guard asserting one-thread-per-node.
-        locks: dict[int, Lock] = defaultdict(Lock)
-        #: Coordinator's mirror of each node's retained WAL length —
-        #: exact at every sync point, predictive in between (workers
-        #: may lag).  This is what lets the coordinator fire the
-        #: forced segment fence at the same stream position the serial
-        #: loop would, without waiting on the workers.
-        retained: dict[int, int] = {}
+        self._locks: dict[int, Lock] = defaultdict(Lock)
 
-        def refresh_retained() -> None:
-            retained.clear()
-            for node in simulation.nodes:
-                retained[node.node_id] = wal.retained_events(node.node_id)
-
-        with ThreadPoolExecutor(
+    def __enter__(self) -> "ThreadBackend":
+        self._executor = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="repro-ingest"
-        ) as executor:
+        )
+        return self
 
-            def dispatch(node_id: int) -> None:
-                batch = pending[node_id]
-                if not batch:
-                    return
-                pending[node_id] = []
-                previous = tails.get(node_id)
-                lock = locks[node_id]
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        if exc_type is not None:
+            # Unwind cleanly: queued batches must not keep applying
+            # while the caller handles the failure (running ones
+            # finish under the executor's shutdown).
+            for future in self._tails.values():
+                future.cancel()
+        self._executor.shutdown(wait=True)
 
-                def apply_batch(
-                    node_id: int = node_id,
-                    batch: list[KeyedEvent] = batch,
-                    previous: Future | None = previous,
-                    lock: Lock = lock,
-                ) -> None:
-                    if previous is not None:
-                        # Order handshake: the node's prior batch must
-                        # land first (re-raises its failure, if any).
-                        previous.result()
-                    if not lock.acquire(blocking=False):
-                        raise StateError(
-                            f"node {node_id} batch applied concurrently; "
-                            "per-node delivery must be thread-confined"
-                        )
-                    try:
-                        simulation.apply_events(node_id, batch)
-                    finally:
-                        lock.release()
+    def send(self, node_id: int, batch: list[KeyedEvent]) -> None:
+        previous = self._tails.get(node_id)
+        lock = self._locks[node_id]
+        apply_inline = super().send
 
-                tails[node_id] = executor.submit(apply_batch)
-
-            def drain(node_ids: Sequence[int]) -> None:
-                for node_id in node_ids:
-                    dispatch(node_id)
-                for node_id in node_ids:
-                    future = tails.pop(node_id, None)
-                    if future is not None:
-                        future.result()
-
-            def drain_all() -> None:
-                drain(sorted(set(pending) | set(tails)))
-
-            refresh_retained()
-            telemetry = simulation.telemetry
-            timed = telemetry.enabled
-            route_cell = (
-                telemetry.stage_timer().cell("route") if timed else None
-            )
-            position = 0
+        def apply() -> None:
+            if previous is not None:
+                # Order handshake: the node's prior batch must land
+                # first (re-raises its failure, if any).
+                previous.result()
+            if not lock.acquire(blocking=False):
+                raise StateError(
+                    f"node {node_id} batch applied concurrently; "
+                    "per-node delivery must be thread-confined"
+                )
             try:
-                for event in events:
-                    boundary = retention is not None and retention.is_boundary(
-                        position
-                    )
-                    gossip_round = simulation.gossip_due(position)
-                    position_scales = scales.get(position, ())
-                    position_failures = failures.get(position, ())
-                    if (
-                        boundary
-                        or gossip_round
-                        or position_scales
-                        or position_failures
-                    ):
-                        # Global fence: barriers act on drained nodes
-                        # only, exactly like the serial loop's state at
-                        # this position.  (A gossip round flushes every
-                        # bank into its digest entry, so it must see no
-                        # batch in flight.)
-                        drain_all()
-                        if boundary:
-                            simulation.collapse_window()
-                        if gossip_round:
-                            simulation.gossip_round()
-                        for scale in position_scales:
-                            simulation.apply_scale(scale)
-                        for failure in position_failures:
-                            simulation.apply_failure(failure)
-                        refresh_retained()
-                    if timed:
-                        start = perf_counter()
-                        node_id = simulation.route_event(event)
-                        seconds = perf_counter() - start
-                        route_cell[0] += 1
-                        route_cell[1] += seconds
-                        if seconds > route_cell[2]:
-                            route_cell[2] = seconds
-                    else:
-                        node_id = simulation.route_event(event)
-                    pending[node_id].append(event)
-                    retained[node_id] = retained.get(node_id, 0) + 1
-                    checkpoint_due = simulation.record_delivery(
-                        node_id, event.count
-                    )
-                    if checkpoint_due or (
-                        segment is not None
-                        and retained[node_id] >= segment
-                        # A dead node's WAL grows past the segment bound
-                        # on purpose: it is the pending replay queue, and
-                        # fencing it would lose events.  The heal fences.
-                        and not simulation.is_node_dead(node_id)
-                    ):
-                        # Per-node fence: only this node's chain must
-                        # land before its checkpoint; the other nodes
-                        # keep streaming.
-                        drain((node_id,))
-                        simulation.checkpoint_node(node_id)
-                        retained[node_id] = 0
-                    elif len(pending[node_id]) >= self._delivery_batch:
-                        dispatch(node_id)
-                    position += 1
-                drain_all()
-            except BaseException:
-                # Unwind cleanly: queued batches must not keep applying
-                # while the caller handles the failure (running ones
-                # finish under the executor's shutdown).
-                for future in tails.values():
-                    future.cancel()
-                raise
+                apply_inline(node_id, batch)
+            finally:
+                lock.release()
+
+        self._tails[node_id] = self._executor.submit(apply)
+
+    def drain(self, node_ids: Sequence[int]) -> None:
+        for node_id in node_ids:
+            future = self._tails.pop(node_id, None)
+            if future is not None:
+                future.result()
+
+    @contextmanager
+    def barrier(self, resync: bool) -> Iterator[None]:
+        # Global fence: barriers act on drained nodes only.  (A gossip
+        # round flushes every bank into its digest entry, so it must
+        # see no batch in flight.)
+        self.drain(sorted(self._tails))
+        yield
 
 
 def worker_environment() -> dict[str, str]:
@@ -412,14 +493,13 @@ class WorkerFleet:
     One pipe-mode ``python -m repro.cluster.worker`` subprocess per
     live node, addressed by node id.  The fleet speaks
     :mod:`repro.cluster.transport` frames and knows nothing about
-    stream order or checkpoint policy — that is :class:`ProcessPlan`'s
-    job; the fleet just moves state and batches between the
-    coordinator's mirror nodes and the workers that own the live
-    banks.
+    stream order or checkpoint policy — that is the driver's and
+    :class:`FleetBackend`'s job; the fleet just moves state and batches
+    between the coordinator's mirror nodes and the workers that own the
+    live banks.
     """
 
-    def __init__(self, timed: bool = False) -> None:
-        self._timed = timed
+    def __init__(self) -> None:
         self._procs: dict[int, subprocess.Popen[bytes]] = {}
         self._streams: dict[int, FrameStream] = {}
 
@@ -452,7 +532,6 @@ class WorkerFleet:
                 buffer_limit=node.buffer_limit,
                 track_truth=node.bank.tracks_truth,
                 consume_mode=node.consume_mode,
-                timed=self._timed,
             )
         except BaseException:
             proc.kill()
@@ -490,14 +569,6 @@ class WorkerFleet:
             topology=topology,
         )
         return str(reply["line"])
-
-    def pull(self, node_id: int, mirror: IngestNode) -> None:
-        """Flush the worker and adopt its full state into ``mirror``."""
-        reply = self._streams[node_id].request(
-            "snapshot_request", "snapshot_reply", flush=True
-        )
-        mirror.adopt_bank(BankCheckpoint.decode(reply["line"]).restore())
-        mirror.install_volatile(reply["volatile"])
 
     def pull_all(self, mirrors: dict[int, IngestNode]) -> None:
         """Barrier pull: request every snapshot first (workers flush
@@ -610,56 +681,126 @@ class WorkerFleet:
     def terminate(self) -> None:
         """Hard unwind (exception path): SIGKILL everything left."""
         for node_id in sorted(self._procs):
-            proc = self._procs.pop(node_id)
-            stream = self._streams.pop(node_id)
-            proc.kill()
-            proc.wait()
-            stream.close()
+            self.kill(node_id)
 
 
-class ProcessPlan(ExecutionPlan):
-    """One OS process per node behind the checksummed wire protocol.
+class FleetBackend(DeliveryBackend):
+    """Batches shipped to one OS worker process per node.
 
-    The coordinator keeps the exact sequential skeleton of the other
-    plans — it routes every event in stream order, appends it to the
-    node's write-ahead log, and decides checkpoints from its own
-    delivered-count bookkeeping — but delivery batches ship over pipes
-    to per-node worker subprocesses (:mod:`repro.cluster.worker`),
-    each owning the node's live bank.  The coordinator's
-    ``simulation`` nodes become *mirrors*: passive twins synced from
-    the workers at every barrier, which is what lets checkpoints,
-    migrations, retention collapses, and crash recovery reuse the
-    simulation's existing code paths unchanged.
-
-    Division of authority:
-
-    * **Workers** own compute state: bank, coalescing buffer, lifetime
-      stats.  Frames per node arrive in stream order, so each worker
-      replays exactly the serial loop's per-node sub-stream.
-    * **The coordinator** owns all durable state: it WAL-appends every
-      routed event (so recovery is complete without trusting a
-      worker), saves checkpoint lines (captured *in* the worker via
-      the :meth:`~repro.cluster.simulation.ClusterSimulation.
-      set_checkpoint_capture` delegate), journals migration batches,
-      and writes the manifest — ``recover_cluster`` and the torn-fence
-      protocol are untouched.
-
-    Crash injection is real: a scheduled failure SIGKILLs the worker
-    process, the simulation recovers the mirror by the standard
-    checkpoint + WAL-replay path, and a fresh worker is spawned and
-    seeded with the recovered state.  On ``exact`` templates every
-    sync point is bit-identical to the serial loop (RNG-free
-    operations on identical state), so a process run's fingerprint
-    equals the serial run's at the same seed — crashes, migrations,
-    and retention included (pinned in
-    ``tests/cluster/test_pipeline.py``).
-
-    Unlike :class:`ParallelPlan` (which only overlaps GIL-releasing
-    fsync stalls), worker processes run counter updates on separate
-    interpreters — CPU-bound templates scale with cores.
+    Workers own compute state (bank, coalescing buffer, lifetime
+    stats); the coordinator's nodes become *mirrors*, synced from the
+    workers at every barrier, so checkpoints, migrations, retention
+    collapses, and crash recovery reuse the simulation's code paths.
+    The coordinator owns all durable state: it WAL-appends every batch
+    before shipping it (recovery never trusts a worker), saves
+    checkpoint lines captured *in* the worker through the
+    :meth:`~repro.cluster.simulation.ClusterSimulation.
+    set_checkpoint_capture` delegate, journals migrations, and writes
+    the manifest.  A scheduled crash really SIGKILLs the worker; the
+    mirror recovers by checkpoint + WAL replay and seeds a fresh one.
     """
 
-    name = "process"
+    def __init__(self, simulation: "ClusterSimulation") -> None:
+        super().__init__(simulation)
+        self._fleet = WorkerFleet()
+
+    def _mirrors(self) -> dict[int, IngestNode]:
+        return {node.node_id: node for node in self._simulation.nodes}
+
+    def __enter__(self) -> "FleetBackend":
+        try:
+            for node in self._simulation.nodes:
+                self._fleet.spawn(node)
+        except BaseException:
+            self._fleet.terminate()
+            raise
+        self._simulation.set_checkpoint_capture(self._fleet.checkpoint)
+        return self
+
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        simulation = self._simulation
+        try:
+            if exc_type is None:
+                # Salvage the workers' stage timings, exit cleanly.
+                self._fleet.shutdown_all(simulation.telemetry)
+        finally:
+            # Hard unwind: SIGKILL whatever a failure left running
+            # (nothing, after a clean shutdown).
+            self._fleet.terminate()
+            simulation.set_checkpoint_capture(None)
+            simulation.set_migration_observer(None)
+
+    def send(self, node_id: int, batch: list[KeyedEvent]) -> None:
+        self._log(node_id, batch)
+        self._fleet.deliver(node_id, batch)
+
+    def drain(self, node_ids: Sequence[int]) -> None:
+        for node_id in node_ids:
+            self._fleet.drain(node_id)
+
+    @contextmanager
+    def barrier(self, resync: bool) -> Iterator[None]:
+        """Sync the mirrors, then run the operations on them.
+
+        Boundary collapses and scale events first pull the mirrors from
+        the workers (pull-with-flush — the stream position where the
+        serial loop flushes), then run the simulation's own operation
+        against the mirrors with the worker capture delegate *off* (the
+        mirrors are the ground truth at a synced barrier); the step
+        hooks below re-sync the fleet.  Crashes skip the pull on
+        purpose: the WAL is the authoritative replay source, exactly as
+        in a real death.
+        """
+        simulation = self._simulation
+        if resync:
+            self._fleet.pull_all(self._mirrors())
+        simulation.set_checkpoint_capture(None)
+        try:
+            yield
+        finally:
+            simulation.set_checkpoint_capture(self._fleet.checkpoint)
+
+    def collapse_window(self) -> None:
+        self._simulation.collapse_window()
+        # Every mirror was reset onto a fresh window-derived seed; push
+        # the reset state so workers resume bit-aligned (a full resync
+        # point even on approximate templates).
+        mirrors = self._mirrors()
+        for node_id in self._fleet.node_ids():
+            self._fleet.push(node_id, mirrors[node_id])
+
+    def apply_scale(self, scale: "ScaleEvent") -> None:
+        simulation = self._simulation
+        seed = simulation.config.seed
+        simulation.set_migration_observer(
+            lambda line: self._fleet.ship_batch(line, seed, self._mirrors())
+        )
+        try:
+            simulation.apply_scale(scale)
+        finally:
+            simulation.set_migration_observer(None)
+        self._fleet.reconcile(self._mirrors(), simulation.telemetry)
+
+    def apply_failure(self, failure: "NodeFailure") -> None:
+        node_id = failure.node_id
+        self._fleet.kill(node_id)
+        self._simulation.apply_failure(failure)
+        mirror = self._mirrors()[node_id]
+        self._fleet.spawn(mirror)
+        self._fleet.push(node_id, mirror)
+
+
+class ExecutionPlan(abc.ABC):
+    """Strategy for driving one event stream through a simulation.
+
+    Every plan runs the :class:`StreamDriver`; a plan only picks the
+    :class:`DeliveryBackend` its batches of ``delivery_batch`` routed
+    events go to, so what the cluster computes stays a pure function of
+    ``(config, stream)``.
+    """
+
+    #: Short name used in logs, reprs, and tests.
+    name: str = "?"
 
     def __init__(self, delivery_batch: int = 64) -> None:
         if delivery_batch < 1:
@@ -673,193 +814,76 @@ class ProcessPlan(ExecutionPlan):
         """Routed events accumulated per node before dispatch."""
         return self._delivery_batch
 
+    @abc.abstractmethod
     def execute(
-        self,
-        simulation: "ClusterSimulation",
-        events: Iterable[KeyedEvent],
+        self, simulation: "ClusterSimulation", events: Iterable[KeyedEvent]
     ) -> None:
-        config = simulation.config
-        if config.aggregation == "gossip":  # pragma: no cover
-            raise StateError(
-                "ProcessPlan does not support gossip aggregation "
-                "(refused at ClusterConfig construction)"
-            )
-        scales, failures = _index_schedule(config)
-        retention = config.retention
-        segment = config.wal_segment_events
-        wal = simulation.store.wal
-        telemetry = simulation.telemetry
-        timed = telemetry.enabled
-        if timed:
-            timer = telemetry.stage_timer()
-            route_cell = timer.cell("route")
-            deliver_cell = timer.cell("deliver")
+        """Deliver ``events``; returns when every event is applied."""
 
-        #: node id -> routed-but-unshipped events, in stream order.
-        pending: dict[int, list[KeyedEvent]] = defaultdict(list)
-        #: Coordinator's mirror of each node's retained WAL length
-        #: (see ParallelPlan) — drives the forced segment fence.
-        retained: dict[int, int] = {}
-        fleet = WorkerFleet(timed=timed)
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"{type(self).__name__}(name={self.name!r})"
 
-        def mirrors() -> dict[int, IngestNode]:
-            return {node.node_id: node for node in simulation.nodes}
 
-        def refresh_retained() -> None:
-            retained.clear()
-            for node in simulation.nodes:
-                retained[node.node_id] = wal.retained_events(
-                    node.node_id
-                )
+class SerialPlan(ExecutionPlan):
+    """The single-threaded reference: batches applied inline."""
 
-        def dispatch(node_id: int) -> None:
-            batch = pending[node_id]
-            if batch:
-                pending[node_id] = []
-                fleet.deliver(node_id, batch)
+    name = "serial"
 
-        def dispatch_all() -> None:
-            for node_id in sorted(pending):
-                dispatch(node_id)
+    def execute(
+        self, simulation: "ClusterSimulation", events: Iterable[KeyedEvent]
+    ) -> None:
+        backend = DeliveryBackend(simulation)
+        StreamDriver(simulation, backend, self.delivery_batch).run(events)
 
-        def pull_all() -> None:
-            dispatch_all()
-            fleet.pull_all(mirrors())
 
-        def capture_in_worker(
-            node_id: int,
-            meta: dict[str, Any],
-            topology: dict[str, Any],
-        ) -> str:
-            return fleet.checkpoint(node_id, meta, topology)
+class ParallelPlan(ExecutionPlan):
+    """Worker-sharded delivery behind the sequential driver
+    (:class:`ThreadBackend`)."""
 
-        def barrier(
-            boundary: bool,
-            position_scales: Sequence["ScaleEvent"],
-            position_failures: Sequence["NodeFailure"],
-        ) -> None:
-            """Run scheduled cluster operations at a drained position.
+    name = "parallel"
 
-            Boundary collapses and scale events first sync the mirrors
-            from the workers (pull-with-flush — the same stream
-            position where the serial loop flushes), then run the
-            simulation's own operation against the mirrors with the
-            worker capture delegate *off* (the mirrors are the ground
-            truth at a synced barrier), then re-sync the fleet.
-            Crashes skip the pull on purpose: the WAL is the
-            authoritative replay source, exactly as in a real death.
-            """
-            if boundary or position_scales:
-                pull_all()
-            simulation.set_checkpoint_capture(None)
-            try:
-                if boundary:
-                    simulation.collapse_window()
-                    # Every mirror was reset onto a fresh
-                    # window-derived seed; push the reset state so
-                    # workers resume bit-aligned (a full resync point
-                    # even on approximate templates).
-                    current = mirrors()
-                    for node_id in fleet.node_ids():
-                        fleet.push(node_id, current[node_id])
-                for scale in position_scales:
-                    simulation.set_migration_observer(
-                        lambda line: fleet.ship_batch(
-                            line, config.seed, mirrors()
-                        )
-                    )
-                    try:
-                        simulation.apply_scale(scale)
-                    finally:
-                        simulation.set_migration_observer(None)
-                    fleet.reconcile(mirrors(), telemetry)
-                for failure in position_failures:
-                    node_id = failure.node_id
-                    # Events already routed to the doomed node are in
-                    # its WAL — recovery replays them into the mirror,
-                    # so shipping them post-respawn would double-count.
-                    pending[node_id].clear()
-                    fleet.kill(node_id)
-                    simulation.apply_failure(failure)
-                    mirror = mirrors()[node_id]
-                    fleet.spawn(mirror)
-                    fleet.push(node_id, mirror)
-            finally:
-                simulation.set_checkpoint_capture(capture_in_worker)
-            refresh_retained()
+    def __init__(self, workers: int, delivery_batch: int = 64) -> None:
+        if workers < 1:
+            raise ParameterError(f"workers must be >= 1, got {workers}")
+        super().__init__(delivery_batch)
+        self._workers = workers
 
-        for node in simulation.nodes:
-            fleet.spawn(node)
-        refresh_retained()
-        simulation.set_checkpoint_capture(capture_in_worker)
-        try:
-            position = 0
-            for event in events:
-                boundary = (
-                    retention is not None
-                    and retention.is_boundary(position)
-                )
-                position_scales = scales.get(position, ())
-                position_failures = failures.get(position, ())
-                if boundary or position_scales or position_failures:
-                    barrier(
-                        boundary, position_scales, position_failures
-                    )
-                if timed:
-                    started = perf_counter()
-                    node_id = simulation.route_event(event)
-                    routed = perf_counter()
-                    wal.append(node_id, event)
-                    appended = perf_counter()
-                    seconds = routed - started
-                    route_cell[0] += 1
-                    route_cell[1] += seconds
-                    if seconds > route_cell[2]:
-                        route_cell[2] = seconds
-                    seconds = appended - routed
-                    deliver_cell[0] += 1
-                    deliver_cell[1] += seconds
-                    if seconds > deliver_cell[2]:
-                        deliver_cell[2] = seconds
-                else:
-                    node_id = simulation.route_event(event)
-                    wal.append(node_id, event)
-                pending[node_id].append(event)
-                retained[node_id] = retained.get(node_id, 0) + 1
-                checkpoint_due = simulation.record_delivery(
-                    node_id, event.count
-                )
-                if checkpoint_due or (
-                    segment is not None
-                    and retained[node_id] >= segment
-                ):
-                    # Per-node fence: drain this worker, then the
-                    # checkpoint captures inside it via the delegate.
-                    dispatch(node_id)
-                    fleet.drain(node_id)
-                    simulation.checkpoint_node(node_id)
-                    retained[node_id] = 0
-                elif len(pending[node_id]) >= self._delivery_batch:
-                    dispatch(node_id)
-                position += 1
-            # End of stream: flush the fleet into the mirrors at the
-            # same point the serial loop runs its final flush, salvage
-            # the workers' stage timings, and exit cleanly.
-            pull_all()
-            fleet.shutdown_all(telemetry)
-        except BaseException:
-            fleet.terminate()
-            raise
-        finally:
-            simulation.set_checkpoint_capture(None)
-            simulation.set_migration_observer(None)
+    @property
+    def workers(self) -> int:
+        """Size of the node-worker thread pool."""
+        return self._workers
+
+    def execute(
+        self, simulation: "ClusterSimulation", events: Iterable[KeyedEvent]
+    ) -> None:
+        backend = ThreadBackend(simulation, self._workers)
+        StreamDriver(simulation, backend, self.delivery_batch).run(events)
+
+
+class ProcessPlan(ExecutionPlan):
+    """One OS process per node behind the checksummed wire protocol
+    (:class:`FleetBackend`).
+
+    On ``exact`` templates every sync point is bit-identical to the
+    serial loop (RNG-free operations on identical state), so a process
+    run's fingerprint equals the serial run's at the same seed —
+    crashes, migrations, and retention included.
+    """
+
+    name = "process"
+
+    def execute(
+        self, simulation: "ClusterSimulation", events: Iterable[KeyedEvent]
+    ) -> None:
+        backend = FleetBackend(simulation)
+        StreamDriver(simulation, backend, self.delivery_batch).run(events)
 
 
 #: Execution-plan registry: name -> factory over the cluster config.
 PLAN_REGISTRY: dict[
     str, Callable[["ClusterConfig"], ExecutionPlan]
 ] = {
-    "serial": lambda config: SerialPlan(),
+    "serial": lambda config: SerialPlan(config.delivery_batch),
     "parallel": lambda config: ParallelPlan(
         config.ingest_workers, config.delivery_batch
     ),

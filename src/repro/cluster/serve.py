@@ -55,7 +55,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.aggregator import GlobalView, tree_merge
+from repro.cluster.aggregator import GlobalView, fold_banks
 from repro.cluster.checkpoint import BankCheckpoint
 from repro.cluster.entities import StalenessInfo
 from repro.cluster.node import CounterTemplate
@@ -63,7 +63,6 @@ from repro.cluster.pipeline import worker_environment
 from repro.cluster.query import ClusterReader
 from repro.cluster.simulation import node_seed
 from repro.cluster.transport import FrameStream
-from repro.core.base import ApproximateCounter
 from repro.errors import ParameterError, StateError
 from repro.obs import MetricsRegistry
 
@@ -489,26 +488,8 @@ class FleetReader(ClusterReader):
         return banks, pings
 
     def _fold(self, banks: list[Any]) -> GlobalView:
-        per_key: dict[str, list[ApproximateCounter]] = {}
-        for bank in banks:
-            for key, counter in bank.items():
-                per_key.setdefault(key, []).append(counter)
-        track = all(bank.tracks_truth for bank in banks)
-        truth: dict[str, int] | None = {} if track else None
-        merged: dict[str, ApproximateCounter] = {}
-        rounds = 0
-        for key in sorted(per_key):
-            merged[key], key_rounds = tree_merge(per_key[key], 2)
-            rounds = max(rounds, key_rounds)
-            if truth is not None:
-                truth[key] = sum(
-                    bank.truth(key) for bank in banks if key in bank
-                )
-        return GlobalView(
-            counters=merged,
-            truth=truth,
-            merge_rounds=rounds,
-            epoch=0,
+        return fold_banks(
+            [(bank.items(), bank.truths) for bank in banks], 2, 0
         )
 
     def raw_view(

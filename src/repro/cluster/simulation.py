@@ -63,16 +63,16 @@ distribution-exact over everything the policy kept.
 
 Parallel ingest
 ---------------
-Delivery is pluggable (:mod:`repro.cluster.pipeline`):
-``ClusterConfig.ingest_workers`` selects the execution plan.  The
-default (``1``) is the historical serial loop; with more workers the
-coordinator thread still routes every event in stream order, but
-per-node batches of ``delivery_batch`` events are applied — WAL append
-plus buffer submit — by a thread pool, one thread per node at a time.
-Checkpoints, migrations, retention collapses, and crashes fence through
-a drain handshake, so recovery semantics are untouched and a parallel
-run is bit-identical to the serial run at the same seed (a tier-1
-invariant, ``tests/cluster/test_pipeline.py``).
+Delivery is pluggable (:mod:`repro.cluster.pipeline`): one stream
+driver routes every event in stream order on the coordinator thread and
+hands per-node batches of ``delivery_batch`` events to the backend the
+execution plan picks.  The default (``ingest_workers=1``) applies them
+inline; with more workers a thread pool applies them — WAL append plus
+buffer submit — one thread per node at a time.  Checkpoints,
+migrations, retention collapses, and crashes fence through a drain
+handshake, so recovery semantics are untouched and a parallel run is
+bit-identical to the serial run at the same seed (a tier-1 invariant,
+``tests/cluster/test_pipeline.py``).
 
 Gossip aggregation
 ------------------
@@ -114,8 +114,10 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Iterable
+from dataclasses import asdict, dataclass, field, fields
+from typing import (
+    Any, Callable, Iterable, get_args, get_origin, get_type_hints
+)
 
 from repro.cluster.aggregator import (
     GlobalView,
@@ -129,7 +131,12 @@ from repro.cluster.membership import (
     FailureDetector,
 )
 from repro.cluster.node import CounterTemplate, IngestNode, default_template
-from repro.cluster.pipeline import PLAN_NAMES, make_plan
+from repro.cluster.pipeline import (
+    PLAN_NAMES,
+    DeliveryBackend,
+    StreamDriver,
+    make_plan,
+)
 from repro.cluster.rebalance import (
     MigrationBatch,
     absorb_batch,
@@ -280,8 +287,9 @@ class ClusterConfig:
     behind the checksummed wire protocol).  The default ``"auto"``
     keeps the historical rule — serial at ``ingest_workers=1``,
     parallel above — where ``ingest_workers`` shards delivery over a
-    thread pool in ``delivery_batch``-event batches.  Results are
-    bit-identical across plans on exact templates.
+    thread pool.  Every plan delivers in per-node batches of
+    ``delivery_batch`` events.  Results are bit-identical across plans
+    on exact templates.
     ``wal_fsync_every`` turns on group-commit fsync for file-backed
     WAL appends (the memory backend has no files and ignores it).
 
@@ -1062,11 +1070,6 @@ class ClusterSimulation:
         #: process plan uses it to ship the move to the worker fleet in
         #: lockstep with the coordinator's mirrors.
         self._migration_observer: Callable[[str], None] | None = None
-        #: Lazily-bound ``(route, deliver, bank_consume)`` stage-timer
-        #: cells for the serial delivery loop — resolved once on the
-        #: delivering (coordinator) thread so the per-event timed path
-        #: pays inline float ops, not a timer lookup per event.
-        self._stage_cells: tuple[list[float], ...] | None = None
         if resume:
             self._restore(self._store.load())
             return
@@ -1211,34 +1214,8 @@ class ClusterSimulation:
         consumed.  Archived retention windows are likewise volatile —
         recovery resumes the *live* window only.
         """
-        config = self._config
         return {
-            "config": {
-                "template": config.template.to_dict(),
-                "seed": config.seed,
-                "buffer_limit": config.buffer_limit,
-                "checkpoint_every": config.checkpoint_every,
-                "hot_keys": list(config.hot_keys),
-                "hot_key_threshold": config.hot_key_threshold,
-                "track_truth": config.track_truth,
-                "fanout": config.fanout,
-                "routing": config.routing,
-                "ring_points": config.ring_points,
-                "wal_segment_events": config.wal_segment_events,
-                "traffic_table_limit": config.traffic_table_limit,
-                "ingest_workers": config.ingest_workers,
-                "delivery_batch": config.delivery_batch,
-                "wal_fsync_every": config.wal_fsync_every,
-                "plan": config.plan,
-                "aggregation": config.aggregation,
-                "gossip_fanout": config.gossip_fanout,
-                "gossip_every": config.gossip_every,
-                "membership": config.membership,
-                "suspect_after": config.suspect_after,
-                "membership_quorum": config.membership_quorum,
-                "membership_heal": config.membership_heal,
-                "consume_mode": config.consume_mode,
-            },
+            "config": _config_echo(self._config),
             "topology": self._topology_stamp(),
             "incarnations": {
                 str(node_id): incarnation
@@ -1386,7 +1363,8 @@ class ClusterSimulation:
         if journal:
             self._replay_migration_journal(journal)
         for node_id in node_ids:
-            self._maybe_checkpoint(node_id)
+            if self.fence_due(node_id):
+                self.checkpoint_node(node_id)
         # Digests are volatile by design: rebuild every node's own entry
         # from its recovered bank (= checkpoint + WAL replay); what the
         # dead process had learned about peers is re-learned by the
@@ -1611,22 +1589,6 @@ class ClusterSimulation:
     # ------------------------------------------------------------------
     # gossip aggregation
     # ------------------------------------------------------------------
-    def gossip_due(self, position: int) -> bool:
-        """Whether a gossip round is scheduled just before ``position``.
-
-        Like retention boundaries, gossip rounds are exact stream
-        positions — every ``gossip_every`` delivered events — so the
-        execution plans can fence them through the drain handshake and
-        a parallel run gossips against exactly the serial state.
-        """
-        every = self._config.gossip_every
-        return (
-            self._gossip is not None
-            and every is not None
-            and position > 0
-            and position % every == 0
-        )
-
     def gossip_round(self) -> int:
         """Run one scheduled push-pull round over the live nodes.
 
@@ -1764,191 +1726,35 @@ class ClusterSimulation:
     # execution-plan hooks (repro.cluster.pipeline)
     # ------------------------------------------------------------------
     def deliver_event(self, event: KeyedEvent) -> None:
-        """Serial delivery of one event: route, log, apply, maybe fence.
+        """Deliver one event synchronously: route, log, apply, maybe fence.
 
-        When telemetry is enabled the three in-process stages are timed
-        individually (``route`` → ``deliver`` → ``bank_consume``; the
-        ``fsync`` stage is timed inside the file-backed WAL).  The
-        timed and untimed paths perform the identical state mutations —
-        telemetry only ever reads the clock.
+        One :meth:`~repro.cluster.pipeline.StreamDriver.step` of the
+        stream driver with inline delivery and a batch of one; no
+        scheduled barrier runs (:meth:`run` owns the schedule).
         """
-        telemetry = self._telemetry
-        self._stream_position += 1
-        if self._dead:
-            node_id = self._router.route_event(event)
-            if node_id in self._dead:
-                # The node is dead but still owns its key range: the
-                # event parks in its durable log (the ingest tier's
-                # unacknowledged queue) and replays into the bank when
-                # membership heals the node.  No submit, no checkpoint
-                # budget — volatile state stays untouched until then.
-                self._store.wal.append(node_id, event)
-                if telemetry.trace_active:
-                    telemetry.position = self._stream_position
-                    telemetry.trace(
-                        "event_deferred", node=node_id, count=event.count
-                    )
-                return
-            self._store.wal.append(node_id, event)
-            self._nodes[node_id].submit(event)
-            if telemetry.trace_active:
-                telemetry.position = self._stream_position
-                telemetry.trace(
-                    "event_delivered", node=node_id, count=event.count
-                )
-        elif telemetry.enabled:
-            cells = self._stage_cells
-            if cells is None:
-                timer = telemetry.stage_timer()
-                cells = self._stage_cells = (
-                    timer.cell("route"),
-                    timer.cell("deliver"),
-                    timer.cell("bank_consume"),
-                )
-            route_cell, deliver_cell, consume_cell = cells
-            perf = time.perf_counter
-            started = perf()
-            node_id = self._router.route_event(event)
-            routed = perf()
-            self._store.wal.append(node_id, event)
-            appended = perf()
-            self._nodes[node_id].submit(event)
-            consumed = perf()
-            # Inline StageTimer.add (see StageTimer.cell): three method
-            # calls per event are measurable on this path.
-            seconds = routed - started
-            route_cell[0] += 1
-            route_cell[1] += seconds
-            if seconds > route_cell[2]:
-                route_cell[2] = seconds
-            seconds = appended - routed
-            deliver_cell[0] += 1
-            deliver_cell[1] += seconds
-            if seconds > deliver_cell[2]:
-                deliver_cell[2] = seconds
-            seconds = consumed - appended
-            consume_cell[0] += 1
-            consume_cell[1] += seconds
-            if seconds > consume_cell[2]:
-                consume_cell[2] = seconds
-            if telemetry.sink.active:
-                telemetry.position = self._stream_position
-                telemetry.trace(
-                    "event_delivered", node=node_id, count=event.count
-                )
-        else:
-            node_id = self._router.route_event(event)
-            self._store.wal.append(node_id, event)
-            self._nodes[node_id].submit(event)
-        self._since_checkpoint[node_id] += event.count
-        self._maybe_checkpoint(node_id)
-
-    def route_event(self, event: KeyedEvent) -> int:
-        """Route one event to its owning node id (coordinator thread).
-
-        Routing mutates sequential state — hot-key round-robin cursors
-        and the traffic table — so plans must call this in stream
-        order, never from a worker.
-        """
-        return self._router.route_event(event)
-
-    def apply_events(
-        self, node_id: int, events: Iterable[KeyedEvent]
-    ) -> None:
-        """WAL-append and buffer-apply one node's routed batch, in order.
-
-        Worker-thread entry point of the parallel plan.  It touches
-        only ``node_id``'s state (its WAL segments and its node's
-        buffer/bank), which is what makes concurrent calls for
-        *different* nodes safe without locks; the caller guarantees at
-        most one in-flight call per node (the drain handshake).
-
-        With telemetry enabled each worker accumulates ``deliver`` and
-        ``bank_consume`` stage timings into its own thread-confined
-        timer (no locks on the hot path); the facade merges the
-        per-worker timers at snapshot time.
-        """
-        wal_append = self._store.wal.append
-        if node_id in self._dead:
-            # Dead node: the batch parks in its durable log only (see
-            # :meth:`deliver_event`); the heal's WAL replay applies it.
-            for event in events:
-                wal_append(node_id, event)
-            return
-        submit = self._nodes[node_id].submit
-        if not self._telemetry.enabled:
-            for event in events:
-                wal_append(node_id, event)
-                submit(event)
-            return
-        perf = time.perf_counter
-        timer = self._telemetry.stage_timer()
-        deliver_cell = timer.cell("deliver")
-        consume_cell = timer.cell("bank_consume")
-        for event in events:
-            started = perf()
-            wal_append(node_id, event)
-            appended = perf()
-            submit(event)
-            consumed = perf()
-            seconds = appended - started
-            deliver_cell[0] += 1
-            deliver_cell[1] += seconds
-            if seconds > deliver_cell[2]:
-                deliver_cell[2] = seconds
-            seconds = consumed - appended
-            consume_cell[0] += 1
-            consume_cell[1] += seconds
-            if seconds > consume_cell[2]:
-                consume_cell[2] = seconds
-
-    def record_delivery(self, node_id: int, count: int) -> bool:
-        """Coordinator-side bookkeeping for one routed event.
-
-        Accumulates the node's checkpoint budget exactly as serial
-        delivery does and returns whether the periodic budget is now
-        due — the parallel plan reacts by draining the node and calling
-        :meth:`checkpoint_node`, which resets the budget.
-        """
-        telemetry = self._telemetry
-        self._stream_position += 1
-        if node_id in self._dead:
-            # Mirror of the serial dead branch: the event reached the
-            # durable log only, so no checkpoint budget accrues and no
-            # fence may fire while the node is down.
-            if telemetry.trace_active:
-                telemetry.position = self._stream_position
-                telemetry.trace(
-                    "event_deferred", node=node_id, count=count
-                )
-            return False
-        if telemetry.trace_active:
-            telemetry.position = self._stream_position
-            telemetry.trace("event_delivered", node=node_id, count=count)
-        self._since_checkpoint[node_id] += count
-        every = self._config.checkpoint_every
-        return (
-            every is not None and self._since_checkpoint[node_id] >= every
+        StreamDriver(self, DeliveryBackend(self), delivery_batch=1).step(
+            event
         )
 
-    def _maybe_checkpoint(self, node_id: int) -> None:
-        """Checkpoint when the periodic budget or a WAL segment fills.
+    def fence_due(self, node_id: int, retained: int | None = None) -> bool:
+        """Whether ``node_id`` must take a checkpoint now.
 
-        The second condition is the forced *segment fence*: a filled
-        :class:`~repro.cluster.storage.SegmentedLog` segment triggers a
-        checkpoint even when periodic checkpointing is disabled, which
-        is what bounds the retained durable log by the segment size.
+        True when its periodic budget (``checkpoint_every``) is spent or
+        its ``retained`` write-ahead-log events (default: what the WAL
+        holds now) fill a segment (``wal_segment_events``).  The second
+        condition is the forced *segment fence*: it fires even when
+        periodic checkpointing is disabled, which is what bounds the
+        retained durable log by the segment size.  Never ask for a dead
+        node: its WAL is the pending replay queue of its heal.
         """
-        if node_id in self._dead:
-            # A dead node's WAL is its pending replay queue; fencing it
-            # would destroy undelivered events.  The heal checkpoints
-            # eagerly after replay, exactly like :meth:`crash_node`.
-            return
-        every = self._config.checkpoint_every
-        if (
+        config = self._config
+        every = config.checkpoint_every
+        segment = config.wal_segment_events
+        if retained is None:
+            retained = self._store.wal.retained_events(node_id)
+        return (
             every is not None and self._since_checkpoint[node_id] >= every
-        ) or self._store.wal.needs_fence(node_id):
-            self.checkpoint_node(node_id)
+        ) or (segment is not None and retained >= segment)
 
     def set_checkpoint_capture(
         self,
@@ -2142,7 +1948,8 @@ class ClusterSimulation:
             "crash", position=self._stream_position, node=node_id
         )
         self._recover_node(node_id)
-        self._maybe_checkpoint(node_id)
+        if self.fence_due(node_id):
+            self.checkpoint_node(node_id)
         if self._gossip is not None:
             # The digest died with the node's volatile state; rebuild
             # its own entry from the recovered bank (checkpoint + log
@@ -2282,7 +2089,8 @@ class ClusterSimulation:
         self._dead.discard(origin)
         self._kill_rounds.pop(origin, None)
         self._recover_node(origin)
-        self._maybe_checkpoint(origin)
+        if self.fence_due(origin):
+            self.checkpoint_node(origin)
         assert self._gossip is not None
         self._gossip.reset_node(origin)
         self._gossip.refresh(
@@ -2592,80 +2400,73 @@ class ClusterSimulation:
 # ----------------------------------------------------------------------
 # crash recovery from disk
 # ----------------------------------------------------------------------
+#: ``ClusterConfig`` fields the manifest does not echo.  The node count
+#: is the topology stamp's; the schedule (failures, scale events,
+#: retention) describes stream positions a recovered cluster has already
+#: consumed; the storage location is wherever the manifest was found.
+_UNECHOED_FIELDS = frozenset(
+    ("n_nodes", "failures", "scale_events", "retention")
+    + ("storage", "storage_dir", "storage_overwrite")
+)
+
+
+def _config_echo(config: ClusterConfig) -> dict[str, Any]:
+    """The manifest's JSON echo of every persisted config field."""
+    echo: dict[str, Any] = {}
+    for spec in fields(ClusterConfig):
+        if spec.name not in _UNECHOED_FIELDS:
+            value = getattr(config, spec.name)
+            if isinstance(value, CounterTemplate):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            echo[spec.name] = value
+    return echo
+
+
 def _config_from_manifest(
     manifest: dict[str, Any], storage_dir: str
 ) -> ClusterConfig:
     """Rebuild a :class:`ClusterConfig` from a persisted manifest.
 
-    Schedule fields (failures, scale events, retention) are not part of
-    the manifest — they describe stream positions a recovered cluster
-    has already consumed — so the rebuilt config carries none.
+    The inverse of :func:`_config_echo`, type-checked field by field
+    against the dataclass annotations because the manifest is input
+    from outside the process.  A key an older manifest lacks takes the
+    field's default; schedule fields are never persisted, so the
+    rebuilt config carries none.
     """
+    hints = get_type_hints(ClusterConfig)
     try:
         echoed = manifest["config"]
+        values: dict[str, Any] = {}
+        for name in echoed.keys() & hints.keys() - _UNECHOED_FIELDS:
+            value, hint = echoed[name], hints[name]
+            if hint is CounterTemplate:
+                value = CounterTemplate.from_dict(value)
+            elif get_origin(hint) is tuple:
+                if type(value) is not list or not all(
+                    type(item) is get_args(hint)[0] for item in value
+                ):
+                    raise TypeError(f"{name} must be {hint}")
+                value = tuple(value)
+            elif type(value) not in (get_args(hint) or (hint,)):
+                raise TypeError(
+                    f"{name} must be {hint}, got {type(value).__name__}"
+                )
+            values[name] = value
         return ClusterConfig(
             n_nodes=max(len(manifest["topology"]["nodes"]), 1),
-            template=CounterTemplate.from_dict(echoed["template"]),
-            seed=int(echoed["seed"]),
-            buffer_limit=int(echoed["buffer_limit"]),
-            checkpoint_every=(
-                int(echoed["checkpoint_every"])
-                if echoed["checkpoint_every"] is not None
-                else None
-            ),
-            hot_keys=tuple(echoed["hot_keys"]),
-            hot_key_threshold=(
-                int(echoed["hot_key_threshold"])
-                if echoed["hot_key_threshold"] is not None
-                else None
-            ),
-            track_truth=bool(echoed["track_truth"]),
-            fanout=int(echoed["fanout"]),
-            routing=str(echoed["routing"]),
-            ring_points=int(echoed["ring_points"]),
             storage="file",
             storage_dir=storage_dir,
-            wal_segment_events=(
-                int(echoed["wal_segment_events"])
-                if echoed["wal_segment_events"] is not None
-                else None
-            ),
-            traffic_table_limit=(
-                int(echoed["traffic_table_limit"])
-                if echoed["traffic_table_limit"] is not None
-                else None
-            ),
-            # Absent from pre-parallel-ingest manifests: default serial.
-            ingest_workers=int(echoed.get("ingest_workers", 1)),
-            delivery_batch=int(echoed.get("delivery_batch", 64)),
-            wal_fsync_every=(
-                int(echoed["wal_fsync_every"])
-                if echoed.get("wal_fsync_every") is not None
-                else None
-            ),
-            # Absent from pre-process-plan manifests: default auto.
-            plan=str(echoed.get("plan", "auto")),
-            # Absent from pre-gossip manifests: default central tree.
-            aggregation=str(echoed.get("aggregation", "tree")),
-            gossip_fanout=int(echoed.get("gossip_fanout", 1)),
-            gossip_every=(
-                int(echoed["gossip_every"])
-                if echoed.get("gossip_every") is not None
-                else None
-            ),
-            # Absent from pre-membership manifests: default detection off.
-            membership=bool(echoed.get("membership", False)),
-            suspect_after=int(echoed.get("suspect_after", 2)),
-            membership_quorum=(
-                int(echoed["membership_quorum"])
-                if echoed.get("membership_quorum") is not None
-                else None
-            ),
-            membership_heal=str(echoed.get("membership_heal", "auto")),
-            # Absent from pre-skip-ahead manifests: default skip_ahead.
-            consume_mode=str(echoed.get("consume_mode", "skip_ahead")),
+            **values,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (
+        AttributeError,
+        KeyError,
+        TypeError,
+        ValueError,
+        ParameterError,
+    ) as exc:
         raise StateError(f"malformed cluster manifest: {exc}") from exc
 
 

@@ -64,10 +64,9 @@ class NodeWorker:
 
     def __init__(self, node: IngestNode | None = None) -> None:
         self.node = node
-        #: wall-clock stage timings; ``None`` until telemetry is asked
-        #: for (``init`` with ``timed=true``).  Purely observational —
-        #: the timed and untimed paths mutate identical state.
-        self.timer: StageTimer | None = None
+        #: wall-clock stage timings, purely observational; the
+        #: coordinator's telemetry facade discards them when disabled.
+        self.timer = StageTimer()
 
     # ------------------------------------------------------------------
     # handlers (one per request frame type)
@@ -92,7 +91,7 @@ class NodeWorker:
             track_truth=bool(body["track_truth"]),
             consume_mode=str(body.get("consume_mode", "skip_ahead")),
         )
-        self.timer = StageTimer() if body.get("timed") else None
+        self.timer = StageTimer()
         return {"type": "ok"}
 
     def handle_deliver_batch(
@@ -101,14 +100,11 @@ class NodeWorker:
         """Apply one routed batch in order (pipelined: no reply)."""
         node = self._require_node()
         events = body["events"]
-        if self.timer is None:
-            node.submit_counts(
-                (str(key), int(count)) for key, count in events
-            )
-            return None
         started = time.perf_counter()
         node.submit_counts((str(key), int(count)) for key, count in events)
-        self.timer.add("worker_consume", time.perf_counter() - started)
+        self.timer.add(
+            "bank_consume", time.perf_counter() - started, len(events)
+        )
         return None
 
     def handle_drain(self, body: dict[str, Any]) -> dict[str, Any]:
@@ -226,9 +222,8 @@ class NodeWorker:
         return {"type": "ok", "absorbed": absorbed}
 
     def handle_metrics_pull(self, body: dict[str, Any]) -> dict[str, Any]:
-        """This worker's stage-timing snapshot (empty when untimed)."""
-        stages = self.timer.snapshot() if self.timer is not None else {}
-        return {"type": "metrics_reply", "stages": stages}
+        """This worker's stage-timing snapshot."""
+        return {"type": "metrics_reply", "stages": self.timer.snapshot()}
 
     def handle_ping(self, body: dict[str, Any]) -> dict[str, Any]:
         """Liveness probe with a small status payload (serve status)."""

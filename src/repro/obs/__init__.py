@@ -141,13 +141,15 @@ class Telemetry:
     # stage timers
     # ------------------------------------------------------------------
     def stage_timer(self) -> StageTimer:
-        """This thread's private timer (created and registered on
-        first use; merged at :meth:`stage_snapshot` time)."""
+        """This thread's private timer (created on first use; merged at
+        :meth:`stage_snapshot` time).  A disabled facade hands out a
+        timer it never merges, so call sites time unconditionally."""
         timer = getattr(self._local, "timer", None)
         if timer is None:
             timer = StageTimer()
-            with self._timers_lock:
-                self._timers.append(timer)
+            if self.enabled:
+                with self._timers_lock:
+                    self._timers.append(timer)
             self._local.timer = timer
         return timer
 
@@ -159,9 +161,10 @@ class Telemetry:
         The process execution plan pulls each worker subprocess's
         :class:`StageTimer` snapshot over the wire (``metrics_pull``)
         and absorbs it here, so :meth:`stage_snapshot` covers the whole
-        deployment exactly as it covers in-process worker threads.
+        deployment exactly as it covers in-process worker threads (and,
+        like them, is discarded by a disabled facade).
         """
-        if stages:
+        if stages and self.enabled:
             with self._timers_lock:
                 self._external_stages.append(dict(stages))
 

@@ -1,10 +1,12 @@
 """Low-overhead per-stage timers for the delivery hot path.
 
 The third telemetry pillar profiles where wall-clock goes on the
-delivery path: ``route`` (coordinator picks the owner node) →
-``deliver`` (WAL append) → ``bank_consume`` (counter-bank submit,
-including auto-flush) → ``fsync`` (durability stalls inside the
-file-backed WAL).
+delivery path: ``route`` (the coordinator picks the owner node and
+does the per-event bookkeeping) → ``deliver`` (WAL append) →
+``bank_consume`` (buffer submit, including auto-flush) → ``fsync``
+(durability stalls inside the file-backed WAL).  The delivery stages
+are timed once per batch of events: a section's ``count`` is the
+number of events it covered, so ``max_s`` is a per-batch maximum.
 
 The design constraint is the parallel ingest plan: several worker
 threads time their own stages concurrently, and a shared locked
@@ -14,7 +16,7 @@ accumulator would serialize exactly the path we are measuring.  So a
 :class:`~repro.obs.Telemetry` facade hands each thread its own timer
 (via ``threading.local``) and merges them only at snapshot time, when
 workers are quiescent.  One ``add`` is two dict operations and three
-float ops — cheap enough to wrap single WAL appends.
+float ops.
 
 Everything in here is wall clock, therefore volatile and *never*
 persisted or fingerprinted: stage timings exist only in exported
@@ -22,9 +24,9 @@ snapshots.
 
 >>> timer = StageTimer()
 >>> timer.add("route", 0.25)
->>> timer.add("route", 0.75)
+>>> timer.add("route", 0.75, count=64)
 >>> timer.snapshot()["route"]["count"]
-2
+65
 >>> timer.snapshot()["route"]["total_s"]
 1.0
 """
@@ -44,31 +46,17 @@ class StageTimer:
     def __init__(self) -> None:
         self._stages: dict[str, list[float]] = {}
 
-    def add(self, stage: str, seconds: float) -> None:
-        """Fold one timed section into the stage's cell."""
+    def add(self, stage: str, seconds: float, count: int = 1) -> None:
+        """Fold one timed section covering ``count`` events into the
+        stage's cell (``max_s`` is the longest single section)."""
         cell = self._stages.get(stage)
         if cell is None:
-            self._stages[stage] = [1, seconds, seconds]
+            self._stages[stage] = [count, seconds, seconds]
         else:
-            cell[0] += 1
+            cell[0] += count
             cell[1] += seconds
             if seconds > cell[2]:
                 cell[2] = seconds
-
-    def cell(self, stage: str) -> list[float]:
-        """The stage's live ``[count, total_s, max_s]`` accumulator.
-
-        Hot-loop escape hatch: per-event call sites (the serial
-        delivery loop times three stages per event) resolve the cell
-        once and fold sections in with three inline float ops instead
-        of a method call per section — same data, same snapshot, no
-        per-event name lookup.  The cell stays thread-confined with
-        its timer.
-        """
-        cell = self._stages.get(stage)
-        if cell is None:
-            cell = self._stages[stage] = [0, 0.0, 0.0]
-        return cell
 
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """JSON-safe ``{stage: {count, total_s, max_s}}``."""

@@ -1,16 +1,13 @@
-"""Tests for the bank's flattened batch-consume paths.
+"""Tests for the bank's flattened batch-consume path.
 
 ``consume_counts`` must be bit-identical to calling ``record`` once per
-pair in the same order; ``consume_batch`` must be bit-identical to the
-coalescing-buffer flush holding the same batch, whether the aggregation
-ran through numpy or the pure-python fallback.
+pair in the same order.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.analytics.counter_bank as counter_bank_module
 from repro.analytics.counter_bank import CounterBank
 from repro.core.factory import make_counter
 from repro.errors import ParameterError
@@ -73,54 +70,6 @@ class TestConsumeCounts:
         assert bank.consume_counts([("a", 10), ("a", 5)]) == 15
         with pytest.raises(ParameterError):
             bank.truth("a")
-
-
-class TestConsumeBatch:
-    def _batch(self, copies: int = 20):
-        keys, counts = [], []
-        for i in range(copies):
-            for key, count in _PAIRS:
-                keys.append(key)
-                counts.append(count + i)
-        return keys, counts
-
-    def test_matches_coalesced_flush(self):
-        keys, counts = self._batch()
-        assert len(keys) >= 64  # large enough for the numpy path
-        batched, flushed = _bank(), _bank()
-        applied = batched.consume_batch(keys, counts)
-        aggregated: dict[str, int] = {}
-        for key, count in zip(keys, counts):
-            aggregated[key] = aggregated.get(key, 0) + count
-        assert applied == flushed.consume_counts(sorted(aggregated.items()))
-        _assert_same_bank(batched, flushed)
-
-    def test_numpy_and_fallback_agree(self, monkeypatch):
-        keys, counts = self._batch()
-        default = _bank()
-        default.consume_batch(keys, counts)
-        monkeypatch.setattr(counter_bank_module, "_np", None)
-        fallback = _bank()
-        fallback.consume_batch(keys, counts)
-        _assert_same_bank(default, fallback)
-
-    def test_small_batches(self):
-        bank = _bank()
-        assert bank.consume_batch([], []) == 0
-        assert bank.consume_batch(["a", "a", "b"], [1, 2, 3]) == 6
-        assert bank.truth("a") == 3
-        assert bank.truth("b") == 3
-
-    def test_validation(self):
-        bank = _bank()
-        with pytest.raises(ParameterError):
-            bank.consume_batch(["a", "b"], [1])
-        with pytest.raises(ParameterError):
-            bank.consume_batch(["a", "b"], [1, -1])
-        keys, counts = self._batch()
-        counts[-1] = -5
-        with pytest.raises(ParameterError):
-            bank.consume_batch(keys, counts)  # numpy path validates too
 
 
 class TestRecordPerUnit:

@@ -291,11 +291,19 @@ class TestSimulationWiring:
         assert snapshot["gauges"]["live_nodes"] == 2
 
     def test_stage_snapshot_covers_delivery_path(self):
-        telemetry = Telemetry()
-        config = ClusterConfig(n_nodes=2, seed=_SEED, ingest_workers=2)
-        simulation = ClusterSimulation(config, telemetry=telemetry)
-        simulation.run(_events(2000))
-        stages = simulation.metrics_snapshot()["stages"]
-        assert stages["route"]["count"] == 2000
-        assert stages["deliver"]["count"] == 2000
-        assert stages["bank_consume"]["count"] == 2000
+        # Stages are timed per batch, but every plan still counts every
+        # event through each stage (the process plan's bank_consume is
+        # timed in the worker processes).
+        for plan in (
+            {"plan": "serial"},
+            {"ingest_workers": 2},
+            {"plan": "process"},
+        ):
+            telemetry = Telemetry()
+            config = ClusterConfig(n_nodes=2, seed=_SEED, **plan)
+            simulation = ClusterSimulation(config, telemetry=telemetry)
+            simulation.run(_events(2000))
+            stages = simulation.metrics_snapshot()["stages"]
+            assert stages["route"]["count"] == 2000, plan
+            assert stages["deliver"]["count"] == 2000, plan
+            assert stages["bank_consume"]["count"] == 2000, plan
