@@ -6,9 +6,10 @@ codec of :mod:`repro.core.codec`), the bank seed, the
 :class:`~repro.cluster.node.CounterTemplate` needed to rebuild the
 counters, the exact shadow counts when tracked, and arbitrary caller
 metadata (node id, incarnation, events ingested).  The whole document is a
-single JSON line guarded by the library's SplitMix64 checksum, so a
-truncated or corrupted checkpoint fails loudly instead of resurrecting a
-silently wrong node.  Where that line *lives* — process memory or an
+single JSON line guarded by a seeded CRC-32 (see
+:func:`repro.core.codec.encode_checksummed_line`), so a truncated or
+corrupted checkpoint fails loudly instead of resurrecting a silently
+wrong node.  Where that line *lives* — process memory or an
 atomically-replaced file on disk — is the
 :class:`~repro.cluster.storage.CheckpointStore`'s concern: this module
 defines the record, :mod:`repro.cluster.storage` defines its durability.

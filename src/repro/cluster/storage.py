@@ -85,10 +85,13 @@ _MANIFEST_CHECKSUM_SEED = 0x5AFE_C0DE_D15C_0001
 def encode_event(event: KeyedEvent) -> str:
     """One WAL line for one delivered event.
 
+    The text of ``json.dumps([key, count], separators=(",", ":"))``,
+    built without that call's per-call encoder construction.
+
     >>> encode_event(KeyedEvent("page-7", 3))
     '["page-7",3]'
     """
-    return json.dumps([event.key, event.count], separators=(",", ":"))
+    return f"[{json.dumps(event.key)},{event.count:d}]"
 
 
 def decode_event(line: str) -> KeyedEvent:
@@ -231,6 +234,10 @@ class SegmentedLog(WriteAheadLog):
         self._next_seq: dict[int, int] = {}
         #: node id -> sequence of the first retained event.
         self._base_seq: dict[int, int] = {}
+        #: node id -> (sequence counted through, serialized bytes of the
+        #: retained events before it): :meth:`storage_bytes` encodes
+        #: only the events appended since its last call.
+        self._byte_tally: dict[int, tuple[int, int]] = {}
 
     @property
     def segment_events(self) -> int | None:
@@ -259,6 +266,7 @@ class SegmentedLog(WriteAheadLog):
         self._segments[node_id] = [[]]
         self._next_seq[node_id] = 0
         self._base_seq[node_id] = 0
+        self._byte_tally[node_id] = (0, 0)
         self._persist_register(node_id)
 
     def append(self, node_id: int, event: KeyedEvent) -> None:
@@ -283,6 +291,7 @@ class SegmentedLog(WriteAheadLog):
     def fence(self, node_id: int) -> None:
         self._node_segments(node_id)[:] = [[]]
         self._base_seq[node_id] = self._next_seq[node_id]
+        self._byte_tally[node_id] = (self._next_seq[node_id], 0)
         self._persist_fence(node_id)
 
     def drop(self, node_id: int) -> None:
@@ -290,6 +299,7 @@ class SegmentedLog(WriteAheadLog):
         del self._segments[node_id]
         del self._next_seq[node_id]
         del self._base_seq[node_id]
+        del self._byte_tally[node_id]
         self._persist_drop(node_id)
 
     def retained_events(self, node_id: int) -> int:
@@ -313,6 +323,7 @@ class SegmentedLog(WriteAheadLog):
             segments[:] = [[]]
             self._next_seq[node_id] = seq
             self._base_seq[node_id] = seq
+            self._byte_tally[node_id] = (seq, 0)
             self._persist_fence(node_id)
             return
         drop = seq - self._base_seq[node_id]
@@ -330,6 +341,7 @@ class SegmentedLog(WriteAheadLog):
         else:
             segments[:] = [[]]
         self._base_seq[node_id] = seq
+        self._byte_tally[node_id] = (seq, 0)  # recount the survivors
 
     def needs_fence(self, node_id: int) -> bool:
         """True once the retained log has reached a full segment's worth.
@@ -344,13 +356,30 @@ class SegmentedLog(WriteAheadLog):
         return self.retained_events(node_id) >= self._segment_events
 
     def storage_bytes(self) -> int:
-        """Retained log size, measured as its serialized line bytes."""
-        return sum(
-            len(encode_event(event)) + 1  # trailing newline
-            for segments in self._segments.values()
-            for segment in segments
-            for event in segment
-        )
+        """Retained log size, measured as its serialized line bytes.
+
+        Each node keeps a running total; a call encodes only the events
+        appended since the previous one, the newest ``fresh`` retained.
+        """
+        total = 0
+        for node_id, segments in self._segments.items():
+            counted_through, counted = self._byte_tally[node_id]
+            fresh = self._next_seq[node_id] - counted_through
+            if fresh:
+                tails, need = [], fresh
+                for segment in reversed(segments):
+                    if need <= 0:
+                        break
+                    tails.append(segment[-need:])
+                    need -= len(segment)
+                counted += sum(
+                    len(encode_event(event)) + 1  # trailing newline
+                    for tail in tails
+                    for event in tail
+                )
+                self._byte_tally[node_id] = (self._next_seq[node_id], counted)
+            total += counted
+        return total
 
     # Persistence hooks — no-ops for the in-memory log; the file-backed
     # subclass overrides them.  Segment/fence *logic* stays identical
@@ -549,6 +578,7 @@ class _FileSegmentedLog(SegmentedLog):
         self._segments[node_id] = segments if segments else [[]]
         self._base_seq[node_id] = base_seq
         self._next_seq[node_id] = next_seq
+        self._byte_tally[node_id] = (base_seq, 0)
         if segments:
             self._segments[node_id].append([])  # fresh active segment
         self._open_segment(node_id)

@@ -10,8 +10,9 @@ for ``cluster serve`` daemons).  Every message is one *frame*:
 The payload is the UTF-8 encoding of a checksummed JSON line produced by
 :func:`repro.core.codec.encode_checksummed_line` — the same envelope the
 durable records (checkpoints, migration batches, the manifest) already
-use — so a truncated pipe, a bit flip in flight, or a foreign speaker
-raises :class:`~repro.errors.StateError` instead of corrupting a node.
+use, a CRC-32 seeded per record kind — so a truncated pipe, a bit
+flip in flight, or a foreign speaker raises
+:class:`~repro.errors.StateError` instead of corrupting a node.
 The decoded body always carries ``{"v": <version>, "type": <name>}``
 plus type-specific fields; unknown versions and unknown message types
 are refused loudly.

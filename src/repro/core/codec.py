@@ -8,15 +8,17 @@ back, with integrity checks:
 
 * a format version, so future layouts can evolve;
 * the algorithm name and parameters, validated on decode;
-* a checksum over the payload (SplitMix64-based, from this library's own
-  mixer) so truncated or corrupted records fail loudly with
+* a CRC-32 over the canonical payload, started from a per-record-kind
+  seed, so truncated or corrupted records fail loudly with
   :class:`~repro.errors.StateError` instead of resurrecting a silently
-  wrong counter.
+  wrong counter (records from before the CRC-32 envelope, which carry
+  a SplitMix64 ``"checksum"``, are still verified and read).
 """
 
 from __future__ import annotations
 
 import json
+import zlib
 from typing import Any
 
 from repro.core.base import ApproximateCounter, CounterSnapshot
@@ -38,8 +40,27 @@ _FORMAT_VERSION = 1
 _CHECKSUM_SEED = 0xA5A5A5A5A5A5A5A5
 
 
-def _checksum(payload: str, seed: int) -> int:
-    """64-bit checksum over a canonical string, via the library mixer."""
+def _canonical(body: Any) -> str:
+    """The payload text a record's checksum covers."""
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+def _crc_start(seed: int) -> int:
+    """Fold a 64-bit record-kind seed into a CRC-32 start value.
+
+    CRC-32 is affine in its start value, so two kinds whose folded
+    seeds differ never produce the same CRC for the same payload: a
+    record of one kind cannot verify as another.
+    """
+    return (seed ^ (seed >> 32)) & 0xFFFFFFFF
+
+
+def _crc32(payload: str, seed: int) -> int:
+    return zlib.crc32(payload.encode("utf-8"), _crc_start(seed))
+
+
+def _legacy_checksum(payload: str, seed: int) -> int:
+    """The SplitMix64 chain older records carry under ``"checksum"``."""
     h = seed
     for byte in payload.encode("utf-8"):
         h = mix64(h ^ byte)
@@ -50,18 +71,16 @@ def encode_checksummed_line(body: dict[str, Any], seed: int) -> str:
     """Wrap a JSON-safe body in the library's checksummed line framing.
 
     The body is canonicalized (sorted keys, no whitespace), checksummed
-    with the caller's ``seed`` (distinct per record kind, so a record
-    cannot be decoded as the wrong kind), and emitted as one
-    ``{"payload": ..., "checksum": ...}`` JSON line.  All durable /
-    wire formats — counter snapshots, bank checkpoints, migration
-    batches — share this framing via :func:`decode_checksummed_line`.
+    with CRC-32 started from the caller's ``seed`` (distinct per record
+    kind, so a record cannot be decoded as the wrong kind), and emitted
+    as one ``{"crc32": ..., "payload": ...}`` JSON line — the same text
+    ``json.dumps`` of that wrapper with sorted keys would produce.  All
+    durable / wire formats — counter snapshots, bank checkpoints,
+    migration batches, the manifest, transport frames — share this
+    framing via :func:`decode_checksummed_line`.
     """
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return json.dumps(
-        {"payload": body, "checksum": _checksum(payload, seed)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    payload = _canonical(body)
+    return f'{{"crc32":{_crc32(payload, seed)},"payload":{payload}}}'
 
 
 def decode_checksummed_line(
@@ -69,18 +88,23 @@ def decode_checksummed_line(
 ) -> dict[str, Any]:
     """Unwrap and verify a :func:`encode_checksummed_line` record.
 
-    Returns the body.  Raises :class:`~repro.errors.StateError` (naming
-    ``kind``) on malformed input or checksum mismatch; version checks
-    stay with the caller, which owns its body schema.
+    Returns the body.  Records written before the CRC-32 envelope carry
+    a SplitMix64 ``"checksum"`` instead; they are still verified and
+    read, so existing store directories recover, but never written.
+    Raises :class:`~repro.errors.StateError` (naming ``kind``) on
+    malformed input or checksum mismatch; version checks stay with the
+    caller, which owns its body schema.
     """
     try:
         wrapper = json.loads(line)
         body = wrapper["payload"]
-        claimed = wrapper["checksum"]
+        if "crc32" in wrapper:
+            claimed, checksum = wrapper["crc32"], _crc32
+        else:
+            claimed, checksum = wrapper["checksum"], _legacy_checksum
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise StateError(f"malformed {kind}: {exc}") from exc
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    if _checksum(payload, seed) != claimed:
+    if checksum(_canonical(body), seed) != claimed:
         raise StateError(f"{kind} checksum mismatch (corrupted record)")
     if not isinstance(body, dict):
         raise StateError(f"malformed {kind}: payload is not an object")
