@@ -9,11 +9,18 @@ deterministic yet streams are unrelated across keys.
 For evaluation the bank optionally keeps exact shadow counts (the "ground
 truth" the analytics system itself would not have room for); shadow counts
 are bookkeeping, never part of the reported memory.
+
+Every mutator also stamps the keys it touched (:attr:`CounterBank.stamps`)
+with a value drawn from one process-wide monotone clock.  No two banks
+ever receive the same value, so an unchanged stamp means "same bank, same
+counter state": the cluster's read path reuses clones and merges of every
+key whose stamp has not moved since its last fold.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -25,6 +32,9 @@ from repro.rng.bitstream import BitBudgetedRandom
 from repro.stream.workload import KeyedEvent
 
 __all__ = ["CounterBank", "stable_key_hash"]
+
+#: The process-wide change clock every bank stamps its mutations from.
+_CLOCK = itertools.count(1)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -69,6 +79,7 @@ class CounterBank:
         self._track_truth = track_truth
         self._counters: dict[str, ApproximateCounter] = {}
         self._truth: dict[str, int] = {}
+        self._stamps: dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # ingest
@@ -92,7 +103,9 @@ class CounterBank:
             raise ParameterError(f"count must be non-negative, got {count}")
         if count == 0:
             return
-        self._counter_for(key).add(count)
+        counter = self._counter_for(key)
+        self._stamps[key] = next(_CLOCK)
+        counter.add(count)
         if self._track_truth:
             self._truth[key] = self._truth.get(key, 0) + count
 
@@ -108,7 +121,9 @@ class CounterBank:
             raise ParameterError(f"count must be non-negative, got {count}")
         if count == 0:
             return
-        self._counter_for(key).add_per_unit(count)
+        counter = self._counter_for(key)
+        self._stamps[key] = next(_CLOCK)
+        counter.add_per_unit(count)
         if self._track_truth:
             self._truth[key] = self._truth.get(key, 0) + count
 
@@ -140,6 +155,8 @@ class CounterBank:
         counter_for = self._counter_for
         truth = self._truth if self._track_truth else None
         truth_get = truth.get if truth is not None else None
+        stamps = self._stamps
+        stamp = next(_CLOCK)
         total = 0
         for key, count in items:
             if count < 0:
@@ -151,6 +168,7 @@ class CounterBank:
             counter = counters.get(key)
             if counter is None:
                 counter = counter_for(key)
+            stamps[key] = stamp
             if per_unit:
                 counter.add_per_unit(count)
             else:
@@ -178,6 +196,20 @@ class CounterBank:
         """Read-only ``key -> exact count`` (``None`` when untracked)."""
         return MappingProxyType(self._truth) if self._track_truth else None
 
+    @property
+    def stamps(self) -> Mapping[str, int]:
+        """Read-only ``key -> change stamp`` for every tracked key.
+
+        A key's stamp moves whenever a mutator (:meth:`record`,
+        :meth:`record_per_unit`, :meth:`consume_counts`,
+        :meth:`materialize`) touches its counter, and it is drawn from a
+        process-wide clock — so two equal stamps always name the same
+        bank's counter in the same state, and a bank rebuilt by recovery
+        or a window reset can never match a stamp of the bank it
+        replaced.
+        """
+        return MappingProxyType(self._stamps)
+
     def __len__(self) -> int:
         return len(self._counters)
 
@@ -187,6 +219,11 @@ class CounterBank:
     def keys(self) -> Iterator[str]:
         """Iterate over tracked keys."""
         return iter(self._counters)
+
+    @property
+    def counters(self) -> Mapping[str, ApproximateCounter]:
+        """Read-only ``key -> counter`` (live references)."""
+        return MappingProxyType(self._counters)
 
     def items(self) -> Iterator[tuple[str, ApproximateCounter]]:
         """Iterate over ``(key, counter)`` pairs (live references)."""
@@ -217,6 +254,7 @@ class CounterBank:
         counter = self._counters.pop(key, None)
         if counter is None:
             return None
+        del self._stamps[key]
         truth = self._truth.pop(key, 0) if self._track_truth else None
         return counter, truth
 
@@ -226,9 +264,13 @@ class CounterBank:
         The created counter gets the same derived random stream it would
         have received from :meth:`record`, so materializing a key before
         restoring a snapshot onto it (checkpoint recovery) reproduces the
-        bank a straight run would have built.
+        bank a straight run would have built.  The key's stamp moves, since
+        every caller mutates the returned counter (restore, migration
+        merge).
         """
-        return self._counter_for(key)
+        counter = self._counter_for(key)
+        self._stamps[key] = next(_CLOCK)
+        return counter
 
     def estimate(self, key: str) -> float:
         """Estimated count for ``key`` (0 for unseen keys)."""

@@ -12,8 +12,10 @@ is lost in ε or δ by sharding.
 Two query styles mirror :class:`~repro.analytics.sharding.ShardedCounter`:
 
 * *scratch merges* (:meth:`global_estimate`, :meth:`global_view`) clone
-  into fresh counters and leave the node banks untouched — the periodic
-  "what does the world look like" query;
+  into counters no node bank aliases and leave the banks untouched — the
+  periodic "what does the world look like" query.  A view re-merges only
+  the keys whose counters changed since the previous fold
+  (:class:`FoldMemo`);
 * *end-of-window collapse* (:meth:`collapse_window`) produces the final
   :class:`GlobalView` for the window and resets every node to an empty
   bank on a fresh window-derived seed, so the next window starts clean.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.analytics.report import BankErrorReport, KeyError_
 from repro.cluster.node import IngestNode
@@ -33,6 +35,7 @@ from repro.errors import MergeError, ParameterError
 from repro.memory.model import SpaceModel
 
 __all__ = [
+    "FoldMemo",
     "GlobalView",
     "MergeTreeAggregator",
     "fold_banks",
@@ -84,47 +87,102 @@ def tree_merge(
     return level[0], rounds
 
 
+class FoldMemo:
+    """The merged counters of one owner's last fold, keyed by stamps.
+
+    :func:`fold_banks` records, per key, the change stamps of the
+    counters it merged (one per contributing part, in part order) next
+    to the merged counter and the :func:`tree_merge` rounds it took.
+    The next fold reuses the merged counter of every key whose stamps
+    all match, so a fold costs clones and merges only for the keys that
+    changed.  Reuse is bit-identical: a merge is a pure function of its
+    inputs' states and seeds (a clone's stream splits off its source's
+    *seed*, never its position), and equal stamps mean equal inputs.
+
+    The memo holds one fold's keys at a time and shares that fold's
+    merged counters with the view it returned.  Each fold builds the
+    next state from scratch and swaps it in with a single assignment,
+    so concurrent folds (HTTP handler threads) each see a consistent
+    memo and never grow it.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self) -> None:
+        #: ``(fanout, key -> (stamps, merged counter, rounds))``.
+        self._state: tuple[
+            int,
+            dict[str, tuple[tuple[int, ...], ApproximateCounter, int]],
+        ] = (0, {})
+
+    def __len__(self) -> int:
+        return len(self._state[1])
+
+
 def fold_banks(
     parts: Sequence[
         tuple[
-            Iterable[tuple[str, ApproximateCounter]],
+            Mapping[str, ApproximateCounter],
+            Mapping[str, int],
             Mapping[str, int] | None,
         ]
     ],
     fanout: int,
     epoch: int,
+    memo: FoldMemo,
 ) -> "GlobalView":
     """Fold per-part counters into one :class:`GlobalView`.
 
-    Each part is ``(counters, truth)``: the part's ``(key, counter)``
-    pairs and its exact counts per key (``None`` when the part does not
-    track truth).  Counters are grouped by key in part order and folded
-    with :func:`tree_merge`; the view reports truth only when every
-    part has it.  This is the one fold every read path shares — the
-    central aggregator over node banks, a gossip digest over its
-    entries, a fleet reader over pulled worker banks — so all of them
-    answer the same keys bit for bit.
+    Each part is ``(counters, stamps, truth)``: the part's ``key ->
+    counter`` mapping, the change stamp of each of those counters (same
+    keys; :attr:`~repro.analytics.counter_bank.CounterBank.stamps`), and
+    its exact counts per key (``None`` when the part does not track
+    truth).  Counters are grouped by key in part order and folded with
+    :func:`tree_merge`, except that a key whose stamps match ``memo``
+    reuses the memoized merged counter (see :class:`FoldMemo`); the view
+    reports truth only when every part has it.  This is the one fold
+    every read path shares — the central aggregator over node banks, a
+    gossip digest over its entries, a fleet reader over pulled worker
+    banks — so all of them answer the same keys bit for bit.
     """
-    per_key: dict[str, list[ApproximateCounter]] = {}
-    for counters, _ in parts:
-        for key, counter in counters:
-            per_key.setdefault(key, []).append(counter)
-    truths = [part_truth for _, part_truth in parts]
-    truth: dict[str, int] | None = (
-        {} if all(part is not None for part in truths) else None
-    )
-    merged: dict[str, ApproximateCounter] = {}
-    max_rounds = 0
+    per_key: dict[str, tuple[int, ...]] = {}
+    totals: dict[str, int] | None = {}
+    for _, stamps, part_truth in parts:
+        for key, stamp in stamps.items():
+            per_key[key] = per_key.get(key, ()) + (stamp,)
+        if part_truth is None:
+            totals = None
+        elif totals is not None:
+            for key, count in part_truth.items():
+                totals[key] = totals.get(key, 0) + count
+    memo_fanout, last = memo._state
+    if memo_fanout != fanout:
+        last = {}
+    folded: dict[str, tuple[tuple[int, ...], ApproximateCounter, int]] = {}
     for key in sorted(per_key):
-        try:
-            merged[key], rounds = tree_merge(per_key[key], fanout)
-        except MergeError as exc:
-            raise MergeError(f"cannot aggregate key {key!r}: {exc}") from exc
-        max_rounds = max(max_rounds, rounds)
-        if truth is not None:
-            truth[key] = sum(part.get(key, 0) for part in truths)
+        stamps = per_key[key]
+        entry = last.get(key)
+        if entry is None or entry[0] != stamps:
+            counters = [part[key] for part, owned, _ in parts if key in owned]
+            try:
+                counter, rounds = tree_merge(counters, fanout)
+            except MergeError as exc:
+                raise MergeError(
+                    f"cannot aggregate key {key!r}: {exc}"
+                ) from exc
+            entry = (stamps, counter, rounds)
+        folded[key] = entry
+    memo._state = (fanout, folded)
+    merged = {key: entry[1] for key, entry in folded.items()}
     return GlobalView(
-        counters=merged, truth=truth, merge_rounds=max_rounds, epoch=epoch
+        counters=merged,
+        truth=(
+            {key: totals.get(key, 0) for key in merged}
+            if totals is not None
+            else None
+        ),
+        merge_rounds=max((entry[2] for entry in folded.values()), default=0),
+        epoch=epoch,
     )
 
 
@@ -135,7 +193,12 @@ class GlobalView:
     Attributes
     ----------
     counters:
-        One merged counter per key (fresh clones, safe to keep or mutate).
+        One merged counter per key.  These are shared, read-only
+        snapshots: never aliases of live node state, but the fold that
+        made them may hand the same object to later views of an
+        unchanged key (see :class:`FoldMemo`), so callers must not
+        mutate them — :func:`merge_views` and every other consumer
+        clones before merging.
     truth:
         Exact global shadow counts, when every contributing bank tracked
         them (``None`` otherwise).
@@ -223,6 +286,7 @@ class MergeTreeAggregator:
         self._nodes = list(nodes)
         self._fanout = fanout
         self._epoch = epoch
+        self._memo = FoldMemo()
 
     @property
     def nodes(self) -> list[IngestNode]:
@@ -283,7 +347,8 @@ class MergeTreeAggregator:
         return reader.raw_view()
 
     def _fold_view(self) -> GlobalView:
-        """The central fold itself: flush every node, merge every key.
+        """The central fold itself: flush every node, merge every key
+        that changed since the last fold (the rest come from the memo).
 
         :class:`~repro.cluster.query.ClusterReader` calls this on its
         consistent path; everything else should go through the reader
@@ -292,9 +357,13 @@ class MergeTreeAggregator:
         for node in self._nodes:
             node.flush()
         return fold_banks(
-            [(node.bank.items(), node.bank.truths) for node in self._nodes],
+            [
+                (node.bank.counters, node.bank.stamps, node.bank.truths)
+                for node in self._nodes
+            ],
             self._fanout,
             self._epoch,
+            self._memo,
         )
 
     # ------------------------------------------------------------------

@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.cluster.aggregator import GlobalView, fold_banks
+from repro.cluster.aggregator import FoldMemo, GlobalView, fold_banks
 from repro.cluster.node import IngestNode
 from repro.core.base import ApproximateCounter
 from repro.core.merge import merge_all
@@ -113,6 +113,11 @@ class DigestEntry:
         Retention window the origin was counting at capture.
     counters:
         Cloned per-key counters (never aliases of live bank state).
+    stamps:
+        The origin bank's change stamp for each key at capture
+        (:attr:`~repro.analytics.counter_bank.CounterBank.stamps`): the
+        next capture reuses every clone whose stamp has not moved, and
+        :meth:`NodeDigest.view` keys its fold memo on them.
     truth:
         The origin's exact shadow counts (``None`` when its bank does
         not track truth).
@@ -129,6 +134,7 @@ class DigestEntry:
     epoch: int
     window: int
     counters: Mapping[str, ApproximateCounter]
+    stamps: Mapping[str, int]
     truth: Mapping[str, int] | None
     round: int = 0
 
@@ -140,6 +146,7 @@ class DigestEntry:
         epoch: int = 0,
         window: int = 0,
         round: int = 0,
+        previous: "DigestEntry | None" = None,
     ) -> "DigestEntry":
         """Snapshot one node's flushed bank into a digest entry.
 
@@ -147,16 +154,29 @@ class DigestEntry:
         event) and every counter is cloned via
         :func:`~repro.core.merge.merge_all` — cloning splits a child
         RNG stream off the counter's source without consuming it, so a
-        capture never perturbs the node's future coin flips.
+        capture never perturbs the node's future coin flips.  A key
+        whose stamp still equals its stamp in ``previous`` (the node's
+        last entry) shares that entry's clone instead: equal stamps mean
+        the same counter state, and entries are immutable, so the shared
+        clone is exactly the one a fresh capture would build.
         """
         node.flush()
+        bank = node.bank
+        stamps = dict(bank.stamps)
+        known = previous.stamps if previous is not None else {}
+        reusable = previous.counters if previous is not None else {}
         counters = {
-            key: merge_all([counter])
-            for key, counter in sorted(node.bank.items())
+            key: (
+                reusable[key]
+                if known.get(key) == stamps[key]
+                else merge_all([counter])
+            )
+            for key, counter in sorted(bank.items())
         }
+        truths = bank.truths
         truth = (
-            {key: node.bank.truth(key) for key in counters}
-            if node.bank.tracks_truth
+            {key: truths.get(key, 0) for key in counters}
+            if truths is not None
             else None
         )
         return cls(
@@ -166,6 +186,7 @@ class DigestEntry:
             epoch=epoch,
             window=window,
             counters=counters,
+            stamps=stamps,
             truth=truth,
             round=round,
         )
@@ -186,6 +207,7 @@ class NodeDigest:
             raise ParameterError(f"node_id must be >= 0, got {node_id}")
         self._node_id = node_id
         self._entries: dict[int, DigestEntry] = {}
+        self._memo = FoldMemo()
 
     @property
     def node_id(self) -> int:
@@ -238,13 +260,19 @@ class NodeDigest:
         view equals :meth:`~repro.cluster.aggregator.MergeTreeAggregator.
         global_view` bit for bit.  Truth is reported only when every
         held entry carries it; the view's ``epoch`` is the newest entry
-        epoch (0 for an empty digest).
+        epoch (0 for an empty digest).  Keys whose entry stamps are
+        unchanged since the digest's last view reuse that view's merged
+        counters (:class:`~repro.cluster.aggregator.FoldMemo`).
         """
         entries = [self._entries[origin] for origin in self.origins]
         return fold_banks(
-            [(entry.counters.items(), entry.truth) for entry in entries],
+            [
+                (entry.counters, entry.stamps, entry.truth)
+                for entry in entries
+            ],
             fanout,
             max((entry.epoch for entry in entries), default=0),
+            self._memo,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -411,6 +439,7 @@ class GossipNetwork:
             epoch=epoch,
             window=window,
             round=self._rounds,
+            previous=digest.entry(node.node_id),
         )
         digest.merge_entry(entry)
         return entry

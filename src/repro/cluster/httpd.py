@@ -73,6 +73,10 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; the reader and registry hang off the server."""
 
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two writes (headers, then body).  With Nagle's
+    # algorithm on, the second waits for a keep-alive client's delayed
+    # ACK of the first: ~40 ms on every read.
+    disable_nagle_algorithm = True
     server: "ClusterHTTPServer"
 
     # Quiet by default: per-request stderr lines would interleave with
@@ -84,12 +88,7 @@ class _Handler(BaseHTTPRequestHandler):
     # plumbing
     # ------------------------------------------------------------------
     def _send_json(self, status: int, payload: Any) -> None:
-        body = dump_strict_json(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_text(status, dump_strict_json(payload), "application/json")
 
     def _send_text(
         self, status: int, body: str, content_type: str

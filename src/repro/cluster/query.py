@@ -25,7 +25,11 @@ Every query takes a ``consistency=`` parameter:
 ``"consistent"``
     Pay for the central fold
     (:meth:`~repro.cluster.aggregator.MergeTreeAggregator._fold_view`):
-    flush every node and merge every key.  Zero staleness, full cost.
+    flush every node, then merge every key whose counters changed since
+    the previous fold; unchanged keys reuse that fold's merged counters
+    (:class:`~repro.cluster.aggregator.FoldMemo`).  Zero staleness; the
+    cost grows with the keys that changed, plus one stamp comparison per
+    key held.
 
 Answers are the typed entities of :mod:`repro.cluster.entities`
 (``KeyCount`` / ``TopK`` / ``ViewSnapshot``), each stamped with a

@@ -55,7 +55,7 @@ import time
 from pathlib import Path
 from typing import Any
 
-from repro.cluster.aggregator import GlobalView, fold_banks
+from repro.cluster.aggregator import FoldMemo, GlobalView, fold_banks
 from repro.cluster.checkpoint import BankCheckpoint
 from repro.cluster.entities import StalenessInfo
 from repro.cluster.node import CounterTemplate
@@ -488,8 +488,13 @@ class FleetReader(ClusterReader):
         return banks, pings
 
     def _fold(self, banks: list[Any]) -> GlobalView:
+        # Pulled banks are fresh objects with fresh stamps, so a memo
+        # could never hit: each fold gets an empty one.
         return fold_banks(
-            [(bank.items(), bank.truths) for bank in banks], 2, 0
+            [(bank.counters, bank.stamps, bank.truths) for bank in banks],
+            2,
+            0,
+            FoldMemo(),
         )
 
     def raw_view(

@@ -8,7 +8,9 @@ body must be *strict* JSON (the repo-wide artifact convention).
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -20,7 +22,7 @@ from repro.cluster import (
     ClusterSimulation,
     default_template,
 )
-from repro.cluster.httpd import ClusterHTTPServer, serve_http
+from repro.cluster.httpd import ClusterHTTPServer, _Handler, serve_http
 from repro.errors import ParameterError
 from repro.rng.bitstream import BitBudgetedRandom
 from repro.stream.workload import zipf_workload
@@ -184,6 +186,39 @@ class TestErrorContract:
         _, _, server = served
         payload = _error_json(server, "/v1/keys/", 400)
         assert "missing key" in payload["error"]
+
+
+class TestKeepAlive:
+    def test_accepted_sockets_disable_nagle(self, served, monkeypatch):
+        """A reply is written as headers then body; with Nagle's
+        algorithm on, a keep-alive client's delayed ACK held the body
+        back ~40 ms.  Every accepted connection must carry
+        ``TCP_NODELAY``."""
+        _, _, server = served
+        seen = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(
+                handler.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        connection = http.client.HTTPConnection(
+            server.server_address[0], server.port, timeout=10
+        )
+        try:
+            for _ in range(2):  # two reads on one keep-alive connection
+                connection.request("GET", "/v1/keys/page-000000")
+                reply = connection.getresponse()
+                assert reply.status == 200
+                json.loads(reply.read())
+        finally:
+            connection.close()
+        assert len(seen) == 1 and seen[0] != 0
 
 
 class TestServerLifecycle:
