@@ -2,28 +2,23 @@
 # The single entry point CI and humans share: everything the repo
 # considers "green", in the order CI runs it.
 #
-#   scripts/run_checks.sh            # full check suite (~8 minutes)
-#   scripts/run_checks.sh --no-bench # skip the bench smoke + JSON check
+#   scripts/run_checks.sh            # full check suite
+#   scripts/run_checks.sh --no-bench # skip the system smokes (4-6)
 #   scripts/run_checks.sh --no-cov   # skip the coverage report + floor
 #
 # Steps:
 #   1. tier-1 pytest  (includes the doctest pass, docs-link tests, and
-#      the bench smoke rows that tier-1 already pins)
+#      the whole-cluster scenario bars in tests/cluster/test_scenarios.py)
 #   2. explicit doctest pass           (same tests, surfaced separately)
 #   3. docs link check                 (scripts/check_docs_links.py)
-#   4. bench smoke, every scenario     (scaling, elastic, durability,
-#      throughput, gossip, membership, serving — writes BENCH_*.json)
-#   5. strict-JSON artifact validation (scripts/check_bench_json.py)
-#   5b. throughput regression gate     (smoke skip-ahead speedup vs the
-#      committed benchmarks/trajectory/ reference; >20% drop fails,
-#      single-core runners skip)
-#   6. process-plan smoke              (a crash-bearing stream through
+#   4. process-plan smoke              (a crash-bearing stream through
 #      per-node worker processes plus a serve up/status/down round
 #      trip, each under a hard 120 s timeout)
-#   7. serving smoke                   (--serve-http over a real run:
+#   5. serving smoke                   (--serve-http over a real run:
 #      all four JSON endpoints fetched and validated as strict JSON,
 #      under a hard timeout)
-#   8. cluster coverage report + floor (scripts/run_coverage.py —
+#   6. telemetry sample                (metrics snapshot + trace log)
+#   7. cluster coverage report + floor (scripts/run_coverage.py —
 #      pytest-cov when installed, stdlib tracer otherwise; fails below
 #      the floor on src/repro/cluster/)
 set -euo pipefail
@@ -53,21 +48,6 @@ echo "== docs link check =="
 python scripts/check_docs_links.py
 
 if [ "$run_bench" -eq 1 ]; then
-  echo
-  echo "== bench smoke (every scenario) =="
-  for scenario in scaling elastic durability throughput gossip membership serving; do
-    echo "-- scenario: $scenario"
-    python benchmarks/bench_cluster.py -q --scenario "$scenario" >/dev/null
-  done
-
-  echo
-  echo "== bench JSON validation =="
-  python scripts/check_bench_json.py
-
-  echo
-  echo "== throughput regression gate (vs committed trajectory) =="
-  python scripts/check_throughput_regression.py
-
   echo
   echo "== process-plan smoke (2 workers, hard 120s budget) =="
   process_dir="$(mktemp -d)"

@@ -109,24 +109,6 @@ class CounterBank:
         if self._track_truth:
             self._truth[key] = self._truth.get(key, 0) + count
 
-    def record_per_unit(self, key: str, count: int = 1) -> None:
-        """Like :meth:`record` but through the per-unit reference path.
-
-        Every unit pays its own coin flip(s)
-        (:meth:`~repro.core.base.ApproximateCounter.add_per_unit`) — the
-        arm benchmarks compare skip-ahead ingestion against.  Not a
-        production path.
-        """
-        if count < 0:
-            raise ParameterError(f"count must be non-negative, got {count}")
-        if count == 0:
-            return
-        counter = self._counter_for(key)
-        self._stamps[key] = next(_CLOCK)
-        counter.add_per_unit(count)
-        if self._track_truth:
-            self._truth[key] = self._truth.get(key, 0) + count
-
     def consume(self, events: Iterable[KeyedEvent]) -> int:
         """Ingest a keyed event stream; returns the increments applied.
 
@@ -139,17 +121,14 @@ class CounterBank:
             n += event.count
         return n
 
-    def consume_counts(
-        self, items: Iterable[tuple[str, int]], per_unit: bool = False
-    ) -> int:
+    def consume_counts(self, items: Iterable[tuple[str, int]]) -> int:
         """Apply coalesced ``(key, count)`` pairs in one flattened pass.
 
         Bit-identical to calling :meth:`record` once per pair in the
         given order — this is the hot path a node's coalescing buffer
         flushes through, with the per-pair method dispatch and truth
         bookkeeping hoisted out of the loop.  Returns the increments
-        applied.  ``per_unit=True`` routes through the per-unit
-        reference arm instead (benchmarks only).
+        applied.
         """
         counters = self._counters
         counter_for = self._counter_for
@@ -169,10 +148,7 @@ class CounterBank:
             if counter is None:
                 counter = counter_for(key)
             stamps[key] = stamp
-            if per_unit:
-                counter.add_per_unit(count)
-            else:
-                counter.add(count)
+            counter.add(count)
             if truth is not None:
                 truth[key] = truth_get(key, 0) + count
             total += count
@@ -201,12 +177,11 @@ class CounterBank:
         """Read-only ``key -> change stamp`` for every tracked key.
 
         A key's stamp moves whenever a mutator (:meth:`record`,
-        :meth:`record_per_unit`, :meth:`consume_counts`,
-        :meth:`materialize`) touches its counter, and it is drawn from a
-        process-wide clock — so two equal stamps always name the same
-        bank's counter in the same state, and a bank rebuilt by recovery
-        or a window reset can never match a stamp of the bank it
-        replaced.
+        :meth:`consume_counts`, :meth:`materialize`) touches its counter,
+        and it is drawn from a process-wide clock — so two equal stamps
+        always name the same bank's counter in the same state, and a bank
+        rebuilt by recovery or a window reset can never match a stamp of
+        the bank it replaced.
         """
         return MappingProxyType(self._stamps)
 

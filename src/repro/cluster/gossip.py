@@ -32,7 +32,7 @@ live banks (by at most the traffic since each origin's last refresh —
 *wrong* about what it covers, and push-pull rounds spread the newest
 entries epidemically — every entry reaches every node in ``O(log n)``
 rounds with high probability, which :meth:`GossipNetwork.converge`
-counts and ``benchmarks/bench_cluster.py --scenario gossip`` records.
+counts.
 
 Determinism
 -----------

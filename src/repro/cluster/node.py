@@ -143,14 +143,7 @@ class IngestNode:
         Flush automatically once this many increments are buffered.
     track_truth:
         Keep exact shadow counts in the bank for evaluation.
-    consume_mode:
-        ``"skip_ahead"`` (default) flushes through the counters'
-        geometric fast-forward ``add(n)``; ``"per_unit"`` pays one coin
-        flip per unit instead — the reference arm the throughput bench
-        compares against, not a production setting.
     """
-
-    CONSUME_MODES = ("skip_ahead", "per_unit")
 
     def __init__(
         self,
@@ -159,7 +152,6 @@ class IngestNode:
         seed: int,
         buffer_limit: int = 512,
         track_truth: bool = True,
-        consume_mode: str = "skip_ahead",
     ) -> None:
         if node_id < 0:
             raise ParameterError(f"node_id must be >= 0, got {node_id}")
@@ -167,16 +159,9 @@ class IngestNode:
             raise ParameterError(
                 f"buffer_limit must be >= 1, got {buffer_limit}"
             )
-        if consume_mode not in self.CONSUME_MODES:
-            known = ", ".join(self.CONSUME_MODES)
-            raise ParameterError(
-                f"consume_mode must be one of {known}, got {consume_mode!r}"
-            )
         self._node_id = node_id
         self._template = template
         self._buffer_limit = buffer_limit
-        self._consume_mode = consume_mode
-        self._per_unit = consume_mode == "per_unit"
         self._bank = CounterBank(
             template.build, seed=seed, track_truth=track_truth
         )
@@ -209,11 +194,6 @@ class IngestNode:
     def buffer_limit(self) -> int:
         """Increments buffered before an automatic flush."""
         return self._buffer_limit
-
-    @property
-    def consume_mode(self) -> str:
-        """How flushes hit the counters: ``skip_ahead`` or ``per_unit``."""
-        return self._consume_mode
 
     @property
     def pending(self) -> int:
@@ -299,9 +279,7 @@ class IngestNode:
         if not self._buffer:
             return 0
         flushed = self._buffered
-        self._bank.consume_counts(
-            sorted(self._buffer.items()), per_unit=self._per_unit
-        )
+        self._bank.consume_counts(sorted(self._buffer.items()))
         self._buffer.clear()
         self._buffered = 0
         self.n_flushes += 1

@@ -72,8 +72,8 @@ pay off where delivery *blocks*: durable ingest.  With a file-backed
 store and group-commit fsync (``wal_fsync_every``), each node's worker
 spends most of its time in ``os.fsync`` — which releases the GIL — so
 N workers overlap N nodes' commit stalls instead of paying them
-end-to-end on one thread (``benchmarks/bench_cluster.py --scenario
-throughput`` measures exactly this).  Worker processes run counter
+end-to-end on one thread (the ``ingest-weighted-durable`` perfbench
+workload measures exactly this).  Worker processes run counter
 updates on separate interpreters, so CPU-bound templates scale with
 cores.
 
@@ -531,7 +531,6 @@ class WorkerFleet:
                 seed=node.bank.seed,
                 buffer_limit=node.buffer_limit,
                 track_truth=node.bank.tracks_truth,
-                consume_mode=node.consume_mode,
             )
         except BaseException:
             proc.kill()

@@ -343,7 +343,6 @@ class ClusterConfig:
     suspect_after: int = 2
     membership_quorum: int | None = None
     membership_heal: str = "auto"
-    consume_mode: str = "skip_ahead"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
@@ -465,12 +464,6 @@ class ClusterConfig:
             raise ParameterError(
                 f"membership_heal must be one of {known}, "
                 f"got {self.membership_heal!r}"
-            )
-        if self.consume_mode not in IngestNode.CONSUME_MODES:
-            known = ", ".join(IngestNode.CONSUME_MODES)
-            raise ParameterError(
-                f"consume_mode must be one of {known}, "
-                f"got {self.consume_mode!r}"
             )
         if self.membership and self.aggregation != "gossip":
             # Detection feeds on digest round stamps; without gossip
@@ -1164,7 +1157,6 @@ class ClusterSimulation:
             seed=node_seed(config.seed, node_id, incarnation),
             buffer_limit=config.buffer_limit,
             track_truth=config.track_truth,
-            consume_mode=config.consume_mode,
         )
 
     def _init_bookkeeping(self, node_id: int) -> None:
@@ -1239,23 +1231,6 @@ class ClusterSimulation:
             "next_auto_id": self._next_auto_id,
             "window": self._window,
             "mid_migration": self._mid_migration,
-            "counters": {
-                "windows_collapsed": self._metrics.counter(
-                    "windows_collapsed_total"
-                ),
-                "scale_events_applied": self._metrics.counter(
-                    "scale_events_total"
-                ),
-                "keys_migrated": self._metrics.counter(
-                    "keys_migrated_total"
-                ),
-                "migration_batches": self._metrics.counter(
-                    "migration_batches_total"
-                ),
-                "migration_bytes": self._metrics.counter(
-                    "migration_bytes_total"
-                ),
-            },
             # The full monotone counter state: every registry counter as
             # [name, labels, value], re-imported by recovery so lifetime
             # telemetry survives process death instead of resetting.
@@ -1330,6 +1305,8 @@ class ClusterSimulation:
                     self._metrics.load_counter(
                         "node_recoveries", count, node=node
                     )
+                # Pre-telemetry manifests kept the cluster-wide
+                # lifetime counters in a block of their own.
                 counters = manifest["counters"]
                 for name, key in (
                     ("windows_collapsed_total", "windows_collapsed"),
@@ -1883,7 +1860,6 @@ class ClusterSimulation:
             seed=incarnation_seed,
             buffer_limit=config.buffer_limit,
             track_truth=config.track_truth,
-            consume_mode=config.consume_mode,
         )
         line = self._store.latest(node_id)
         if line is not None:

@@ -27,11 +27,13 @@ Three concrete backends ship:
   :func:`~repro.cluster.simulation.recover_cluster`.
 * :class:`SegmentedLog` — the write-ahead log used by both stores.  It
   rolls fixed-size segments and truncates *every* segment at a node's
-  checkpoint fence; when a segment fills before a fence arrives, the
-  log reports :meth:`~SegmentedLog.needs_fence` and the simulation takes
-  a forced checkpoint.  Replay cost is therefore proportional to
-  ``min(checkpoint_every, segment size)`` — never to stream length —
-  which fixes the unbounded-log leak by construction.
+  checkpoint fence; once a segment's worth of events is retained before
+  a fence arrives,
+  :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due` reports
+  it and the simulation takes a forced checkpoint.  Replay cost is
+  therefore proportional to ``min(checkpoint_every, segment size)`` —
+  never to stream length — which fixes the unbounded-log leak by
+  construction.
 
 Store layout of a :class:`FileStore` directory::
 
@@ -199,8 +201,10 @@ class SegmentedLog(WriteAheadLog):
     ``segment_events=None`` reproduces the historical single unbounded
     segment (the log only ever shrinks at a checkpoint fence).  With a
     limit, the active segment seals once it holds ``segment_events``
-    events and :meth:`needs_fence` turns true — the simulation reacts by
-    taking a forced checkpoint, whose fence truncates every segment.
+    events and :meth:`needs_fence` turns true; the simulation makes the
+    same retained-events test in
+    :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due` and
+    takes a forced checkpoint, whose fence truncates every segment.
     Retained log length is therefore bounded by the segment size even
     when periodic checkpointing is disabled.
 

@@ -89,7 +89,6 @@ class NodeWorker:
             seed=int(body["seed"]),
             buffer_limit=int(body["buffer_limit"]),
             track_truth=bool(body["track_truth"]),
-            consume_mode=str(body.get("consume_mode", "skip_ahead")),
         )
         self.timer = StageTimer()
         return {"type": "ok"}

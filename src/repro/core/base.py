@@ -108,9 +108,9 @@ class ApproximateCounter(abc.ABC):
         """Process ``n`` increments one at a time — never fast-forwarded.
 
         The per-unit reference arm: every unit pays its own coin flip(s),
-        exactly as a naive stream simulation would.  Benchmarks and the
-        skip-ahead equivalence tests compare :meth:`add` against this; it
-        is not a production ingest path.
+        exactly as a naive stream simulation would.  The skip-ahead
+        equivalence tests compare :meth:`add` against this; it is not a
+        production ingest path.
         """
         if n < 0:
             raise ParameterError(f"cannot add a negative count: {n}")

@@ -115,9 +115,9 @@ def weighted_zipf_workload(
     streams of ``rng``, so the key sequence at a given seed matches
     :func:`zipf_workload` event for event.
 
-    This is the heavy-count workload the throughput bench's skip-ahead
-    arm is measured on: per-unit ingestion pays ``count`` coin flips per
-    event, skip-ahead pays O(1) expected draws.
+    This is the heavy-count workload skip-ahead is measured on: per-unit
+    ingestion pays ``count`` coin flips per event, skip-ahead pays O(1)
+    expected draws.
     """
     if mean_count < 1:
         raise ParameterError(

@@ -49,13 +49,6 @@ class TestConsumeCounts:
         assert applied == sum(count for _, count in _PAIRS)
         _assert_same_bank(looped, flattened)
 
-    def test_per_unit_matches_record_per_unit(self):
-        looped, flattened = _bank(), _bank()
-        for key, count in _PAIRS:
-            looped.record_per_unit(key, count)
-        flattened.consume_counts(_PAIRS, per_unit=True)
-        _assert_same_bank(looped, flattened)
-
     def test_zero_counts_do_not_materialize(self):
         bank = _bank()
         assert bank.consume_counts([("z", 0)]) == 0
@@ -71,14 +64,3 @@ class TestConsumeCounts:
         with pytest.raises(ParameterError):
             bank.truth("a")
 
-
-class TestRecordPerUnit:
-    def test_tracks_truth_and_skips_zero(self):
-        bank = _bank()
-        bank.record_per_unit("k", 12)
-        bank.record_per_unit("k")
-        bank.record_per_unit("z", 0)
-        assert bank.truth("k") == 13
-        assert "z" not in bank
-        with pytest.raises(ParameterError):
-            bank.record_per_unit("k", -1)

@@ -68,7 +68,6 @@ def _migrated(count: int):
 #: One entry per ``CounterBank`` mutator: mutate ``key`` on ``node``.
 MUTATORS = {
     "record": lambda node, key: node.bank.record(key, 3),
-    "record_per_unit": lambda node, key: node.bank.record_per_unit(key, 3),
     "consume_counts": lambda node, key: node.bank.consume_counts(
         [(key, 3)]
     ),

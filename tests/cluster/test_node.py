@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analytics.counter_bank import CounterBank
 from repro.cluster.node import CounterTemplate, IngestNode, default_template
 from repro.errors import ParameterError
-from repro.stream.workload import KeyedEvent
+from repro.rng.bitstream import BitBudgetedRandom
+from repro.stream.workload import KeyedEvent, weighted_zipf_workload
 
 
 def _node(buffer_limit: int = 100, **kwargs) -> IngestNode:
@@ -127,3 +129,56 @@ class TestValidationAndReset:
             return node.estimate("k")
 
         assert run() == run()
+
+
+def _weighted_events(n_events: int):
+    return list(
+        weighted_zipf_workload(
+            BitBudgetedRandom(424242), 60, n_events, mean_count=16
+        )
+    )
+
+
+class TestFlushBitIdentity:
+    def test_flush_matches_manual_bank(self):
+        """A flush is the sorted coalesced buffer applied to a bank with
+        the node's seed — same estimates, truth, and state bits."""
+        node = _node(buffer_limit=10**9)
+        node.submit_all(_weighted_events(600))
+        buffered = sorted(node._buffer.items())
+        node.flush()
+        reference = CounterBank(
+            default_template("simplified_ny").build, seed=7
+        )
+        reference.consume_counts(buffered)
+        for key, _ in buffered:
+            assert node.bank.estimate(key) == reference.estimate(key)
+            assert node.bank.truth(key) == reference.truth(key)
+        assert node.bank.total_state_bits() == reference.total_state_bits()
+
+
+class TestSubmitCounts:
+    def test_matches_per_event_submit(self):
+        """Same buffer state, lifetime stats, flush timing, and bank
+        contents as submitting one KeyedEvent per pair."""
+        pairs = [(event.key, event.count) for event in _weighted_events(3000)]
+        pairs[7] = (pairs[7][0], 0)  # zero-count events are dropped
+        by_event, by_pairs = _node(buffer_limit=64), _node(buffer_limit=64)
+        ingested_events = by_event.submit_all(
+            KeyedEvent(key, count) for key, count in pairs
+        )
+        ingested_pairs = by_pairs.submit_counts(pairs)
+        assert ingested_pairs == ingested_events
+        assert by_pairs.events_ingested == by_event.events_ingested
+        assert by_pairs.events_coalesced == by_event.events_coalesced
+        assert by_pairs.n_flushes == by_event.n_flushes
+        assert by_pairs.pending == by_event.pending
+        assert by_pairs._buffer == by_event._buffer
+        for key in by_event.bank.keys():
+            assert by_pairs.bank.estimate(key) == by_event.bank.estimate(key)
+
+    def test_flushes_when_buffer_fills(self):
+        node = _node(buffer_limit=8)
+        node.submit_counts([("a", 5), ("b", 5), ("c", 1)])
+        assert node.n_flushes == 1
+        assert node.pending == 1  # "c" arrived after the flush

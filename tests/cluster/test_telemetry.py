@@ -307,3 +307,49 @@ class TestSimulationWiring:
             assert stages["route"]["count"] == 2000, plan
             assert stages["deliver"]["count"] == 2000, plan
             assert stages["bank_consume"]["count"] == 2000, plan
+
+
+class TestDeliveryTimingIsPerBatch:
+    """The delivery path takes its clock readings per batch, never per
+    event, so telemetry stays cheap however long the stream is.
+
+    Every ``StageTimer.add`` call is one timed section (a clock pair and
+    one cell fold), so the call count per event bounds the timing work
+    an event pays without measuring wall time — a count does not flap on
+    a loaded machine.  At the default ``delivery_batch=64`` a run makes
+    about 0.047 calls per event; timing any stage per event makes it at
+    least 1.
+    """
+
+    _EVENTS = 20_000
+    _MAX_CALLS_PER_EVENT = 0.1
+
+    @pytest.mark.parametrize("n_nodes", [2, 4])
+    @pytest.mark.parametrize(
+        "plan", [{"plan": "serial"}, {"ingest_workers": 2}], ids=str
+    )
+    def test_stage_timer_calls_per_event(self, monkeypatch, n_nodes, plan):
+        calls = []
+        add = StageTimer.add
+
+        def counting_add(self, *args, **kwargs):
+            calls.append(None)
+            add(self, *args, **kwargs)
+
+        monkeypatch.setattr(StageTimer, "add", counting_add)
+        config = ClusterConfig(n_nodes=n_nodes, seed=_SEED, **plan)
+        simulation = ClusterSimulation(config, telemetry=Telemetry())
+        simulation.run(
+            zipf_workload(
+                BitBudgetedRandom(_SEED),
+                n_keys=2000,
+                n_events=self._EVENTS,
+            )
+        )
+        stages = simulation.metrics_snapshot()["stages"]
+        assert stages["route"]["count"] == self._EVENTS
+        per_event = len(calls) / self._EVENTS
+        assert per_event <= self._MAX_CALLS_PER_EVENT, (
+            f"{len(calls)} StageTimer.add calls for {self._EVENTS} "
+            f"events ({per_event:.3f} per event)"
+        )

@@ -22,7 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.node import default_template
 from repro.core.factory import make_counter
+from repro.rng.bitstream import BitBudgetedRandom
+from repro.stream.workload import weighted_zipf_workload
 
 _SMALL_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -124,3 +127,53 @@ class TestBitMetering:
         unit.add_per_unit(total)
         assert skip.n_increments == unit.n_increments == total
         assert skip.rng.bits_consumed <= unit.rng.bits_consumed
+
+
+class TestWeightedStreamBitBill:
+    """Skip-ahead pays a small fraction of per-unit's random bits on a
+    heavy-count stream.
+
+    Every key of a weighted Zipf feed (mean weight 256) gets a ``morris``
+    cluster-preset counter; each arm draws all of its counters from one
+    shared :class:`~repro.rng.bitstream.BitBudgetedRandom`, so its
+    ``bits_consumed`` is the whole stream's random-bit bill.  Bits are a
+    deterministic, machine-independent proxy for the draws ``add(n)``
+    saves, so the bound cannot flap on a loaded box.  Per-unit spends
+    68,310,958 bits and ``add(n)`` 3,236,392 (21.1x) on the 1,289,788
+    increments; the bound sits at 0.8x that ratio.
+    """
+
+    _SEED = 2020_10_06
+    _MIN_RATIO = 16.8
+
+    def _bits(self, per_unit: bool) -> tuple[int, int]:
+        template = default_template("morris")
+        rng = BitBudgetedRandom(self._SEED)
+        counters: dict[str, object] = {}
+        increments = 0
+        for event in weighted_zipf_workload(
+            BitBudgetedRandom(self._SEED),
+            n_keys=2000,
+            n_events=5000,
+            exponent=1.1,
+            mean_count=256,
+        ):
+            counter = counters.get(event.key)
+            if counter is None:
+                counter = counters[event.key] = template.build(rng)
+            if per_unit:
+                counter.add_per_unit(event.count)
+            else:
+                counter.add(event.count)
+            increments += event.count
+        return rng.bits_consumed, increments
+
+    def test_add_spends_at_most_a_sixteenth_of_per_unit_bits(self):
+        unit_bits, unit_increments = self._bits(per_unit=True)
+        skip_bits, skip_increments = self._bits(per_unit=False)
+        assert skip_increments == unit_increments > 5000
+        assert skip_bits * self._MIN_RATIO <= unit_bits, (
+            f"add(n) spent {skip_bits} bits against per-unit's "
+            f"{unit_bits} ({unit_bits / max(skip_bits, 1):.1f}x, "
+            f"bound {self._MIN_RATIO}x)"
+        )

@@ -1,4 +1,4 @@
-"""Tests for the command-line interfaces (repro.cli + bench scripts)."""
+"""Tests for the command-line interface (repro.cli)."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ import pytest
 from repro.cli import build_parser, main
 
 _REPO = pathlib.Path(__file__).resolve().parents[1]
-_BENCH_CLUSTER = _REPO / "benchmarks" / "bench_cluster.py"
 
 
 class TestParser:
@@ -723,49 +722,3 @@ class TestCommands:
             main(args)  # same dir again: refused without overwrite
         assert main([*args, "--storage-overwrite"]) == 0
 
-
-class TestBenchClusterScenarioRegistry:
-    """The bench script's --scenario flag is a real argparse choice:
-    an unknown scenario exits 2 with the valid names listed, never a
-    traceback."""
-
-    def _run(self, *args: str) -> subprocess.CompletedProcess:
-        env = dict(os.environ)
-        src = str(_REPO / "src")
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH")
-            else src
-        )
-        return subprocess.run(
-            [sys.executable, str(_BENCH_CLUSTER), *args],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
-
-    def test_unknown_scenario_is_a_clean_error(self):
-        completed = self._run("--scenario", "bogus")
-        assert completed.returncode == 2
-        assert "invalid choice: 'bogus'" in completed.stderr
-        for scenario in (
-            "scaling", "elastic", "durability", "throughput", "gossip",
-            "serving",
-        ):
-            assert scenario in completed.stderr
-        assert "Traceback" not in completed.stderr
-
-    def test_missing_scenario_value_is_a_clean_error(self):
-        completed = self._run("--scenario")
-        assert completed.returncode == 2
-        assert "expected one argument" in completed.stderr
-        assert "Traceback" not in completed.stderr
-
-    def test_help_lists_scenarios(self):
-        completed = self._run("--help")
-        assert completed.returncode == 0
-        for scenario in (
-            "scaling", "elastic", "durability", "throughput", "gossip"
-        ):
-            assert scenario in completed.stdout
