@@ -39,7 +39,7 @@ The benchmark suite writes machine-readable artifacts under
   per-unit arm (``skip_ahead_speedup >= 1``);
 * is a ``cluster_throughput_trajectory`` artifact (the *committed*
   skip-ahead history under ``benchmarks/trajectory/``) whose rows
-  lack the reference fields the CI regression gate needs, or record a
+  lack the reference fields the regression gate needs, or record a
   full run where skip-ahead lost to per-unit;
 * is a ``cluster_serving`` artifact whose rows break the serving
   scenario's acceptance shape — every row must carry ``replicas``
@@ -57,8 +57,12 @@ Usage::
 
 With no paths, checks every ``BENCH_*.json`` under
 ``benchmarks/results/`` plus the committed trajectory artifacts under
-``benchmarks/trajectory/``, and fails if there are none (run the bench
-smoke first; CI does).
+``benchmarks/trajectory/``, and fails if there are none.
+
+``benchmarks/_bench_utils.py``'s ``write_json_result`` writes the
+shared schema.  The ``cluster_*`` shapes are those of the retired
+cluster harness; of its artifacts only the committed trajectory
+remains.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ REPO = pathlib.Path(__file__).resolve().parents[1]
 RESULTS_DIR = REPO / "benchmarks" / "results"
 TRAJECTORY_DIR = REPO / "benchmarks" / "trajectory"
 
-#: Mirrors ``_THROUGHPUT_FULL_EVENTS`` in ``benchmarks/bench_cluster.py``
+#: The full-run size of the retired cluster harness's throughput scenario
 #: — below this the skip-ahead speedup is smoke-run noise and only the
 #: shape is validated, not the win.
 FULL_RUN_EVENTS = 400_000
@@ -437,8 +441,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     if not paths:
         print(
-            f"no BENCH_*.json artifacts under {RESULTS_DIR} — run the "
-            "bench smoke first (python benchmarks/bench_cluster.py -q)"
+            f"no BENCH_*.json artifacts under {RESULTS_DIR} "
+            f"or {TRAJECTORY_DIR}"
         )
         return 1
     failures = 0

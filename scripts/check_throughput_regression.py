@@ -14,15 +14,18 @@ needs a comparable workload, which is why full-run trajectory rows also
 record ``skip_ahead_speedup_smoke``: the same arm re-measured at smoke
 size, the apples-to-apples reference for CI's smoke rows.
 
+The cluster harness that wrote the fresh artifact is retired; CI no
+longer runs this gate.  Its successor is the deterministic bit-count
+test ``tests/core/test_skip_ahead.py::TestWeightedStreamBitBill``.
+The script stays for artifacts that harness left behind.
+
 Unlike the bench's multi-worker bars, this gate does *not* skip on
 single-core runners: the speedup under test is a ratio of two serial
 runs of the same workload, meaningful on any core count.
 
-Skips (exit 0, loudly) when:
-
-* there is no committed trajectory yet (bootstrap — the first full run
-  creates it);
-* the fresh artifact is missing (run the bench smoke first).
+Skips (exit 0, loudly) when there is no committed trajectory yet
+(bootstrap — the first full run creates it).  Fails (exit 1) when the
+fresh artifact is missing.
 
 Usage::
 
@@ -45,7 +48,7 @@ TRAJECTORY = (
     / "BENCH_cluster_throughput_trajectory.json"
 )
 
-#: Mirrors ``_THROUGHPUT_FULL_EVENTS`` in ``benchmarks/bench_cluster.py``.
+#: The full-run size of the retired cluster harness's throughput scenario.
 FULL_RUN_EVENTS = 400_000
 
 
@@ -78,9 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     if not FRESH.exists():
         print(
             "throughput regression gate: no fresh artifact at "
-            f"{_display(FRESH)} — run the bench smoke first "
-            "(python benchmarks/bench_cluster.py -q "
-            "--scenario throughput)"
+            f"{_display(FRESH)}"
         )
         return 1
     fresh = json.loads(FRESH.read_text(encoding="utf-8"))
