@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cluster(args: argparse.Namespace) -> str:
-    from repro.cluster import ClusterConfig, ClusterSimulation
+    from repro.cluster import ClusterConfig, ClusterSimulation, make_plan
     from repro.rng.bitstream import BitBudgetedRandom
     from repro.stream.workload import zipf_workload
 
@@ -671,12 +671,13 @@ def _run_cluster(args: argparse.Namespace) -> str:
             )
             + f", heal mode {args.membership_heal}"
         )
-    if args.plan == "process":
+    plan = make_plan(config).name
+    if plan == "process":
         table += (
             f"\nprocess plan: one worker process per node, "
             f"delivery batch {args.batch}"
         )
-    elif args.workers > 1:
+    elif plan == "parallel":
         table += (
             f"\nparallel ingest: {args.workers} workers, "
             f"delivery batch {args.batch}"

@@ -290,8 +290,9 @@ class ClusterConfig:
     thread pool.  Every plan delivers in per-node batches of
     ``delivery_batch`` events.  Results are bit-identical across plans
     on exact templates.
-    ``wal_fsync_every`` turns on group-commit fsync for file-backed
-    WAL appends (the memory backend has no files and ignores it).
+    ``wal_fsync_every`` turns on group-commit fsync for WAL appends;
+    like ``storage_dir`` and ``storage_overwrite`` it needs
+    ``storage="file"``.
 
     ``aggregation`` picks the read path: ``"tree"`` (the central merge
     tree, historical behavior) or ``"gossip"`` (every node additionally
@@ -311,6 +312,10 @@ class ClusterConfig:
     death, at which point the cluster heals it per ``membership_heal``
     (``auto``/``recover``/``rebalance``).  This is what makes
     ``NodeFailure(heal=False)`` kills survivable without driver help.
+
+    ``__post_init__`` is the one place knob-pairing rules live: a knob
+    the rest of the config would silently ignore raises
+    :class:`~repro.errors.ParameterError`.
     """
 
     n_nodes: int = 4
@@ -372,6 +377,19 @@ class ClusterConfig:
             raise ParameterError(
                 "storage='file' needs a storage_dir"
             )
+        if self.storage != "file":
+            # Same loudness rule as the gossip knobs: the memory store
+            # has no directory and no files, so these would be no-ops.
+            if self.storage_dir is not None:
+                raise ParameterError("storage_dir requires storage='file'")
+            if self.storage_overwrite:
+                raise ParameterError(
+                    "storage_overwrite requires storage='file'"
+                )
+            if self.wal_fsync_every is not None:
+                raise ParameterError(
+                    "wal_fsync_every requires storage='file'"
+                )
         if (
             self.wal_segment_events is not None
             and self.wal_segment_events < 1
@@ -574,208 +592,61 @@ class ClusterConfig:
                 # so from here the replay may treat them as live again.
                 dead.clear()
 
-    # ------------------------------------------------------------------
-    # the one audited flag → config path
-    # ------------------------------------------------------------------
-    @classmethod
-    def validate(
-        cls, args: Any
-    ) -> tuple[
-        tuple["NodeFailure", ...],
-        tuple["ScaleEvent", ...],
-        RetentionPolicy | None,
-        int | None,
-    ]:
-        """Cross-flag validation for a ``cluster`` argparse namespace.
-
-        Checks every flag interaction the CLI refuses (``--kill``
-        specs, membership prerequisites, retention/storage/telemetry
-        pairings, gossip knobs) and raises
-        :class:`~repro.errors.ParameterError` carrying *exactly* the
-        CLI's historical error text, so ``cli.py`` can surface it
-        verbatim via ``SystemExit``.  Returns the parsed schedule
-        pieces ``(failures, scale_events, retention, gossip_every)``
-        for :meth:`from_args` to assemble.
-
-        ``args`` is duck-typed: anything exposing the ``cluster``
-        subparser's attribute set works (the HTTP layer and tests pass
-        plain namespaces).
-        """
-        failures = []
-        for spec in args.kill:
-            try:
-                node_part, event_part = spec.split("@", 1)
-                node_id, at_event = int(node_part), int(event_part)
-            except ValueError:
-                raise ParameterError(
-                    f"--kill expects NODE@EVENT (e.g. 2@100000), "
-                    f"got {spec!r}"
-                ) from None
-            try:
-                failures.append(
-                    NodeFailure(at_event=at_event, node_id=node_id)
-                )
-            except ParameterError as exc:
-                raise ParameterError(
-                    f"invalid --kill {spec!r}: {exc}"
-                ) from exc
-        for spec in args.kill_dead:
-            try:
-                node_part, event_part = spec.split("@", 1)
-                node_id, at_event = int(node_part), int(event_part)
-            except ValueError:
-                raise ParameterError(
-                    f"--kill-dead expects NODE@EVENT (e.g. 2@100000), "
-                    f"got {spec!r}"
-                ) from None
-            try:
-                failures.append(
-                    NodeFailure(
-                        at_event=at_event, node_id=node_id, heal=False
-                    )
-                )
-            except ParameterError as exc:
-                raise ParameterError(
-                    f"invalid --kill-dead {spec!r}: {exc}"
-                ) from exc
-        scale_events = []
-        for at_event in args.grow:
-            try:
-                scale_events.append(
-                    ScaleEvent(at_event=at_event, action="add")
-                )
-            except ParameterError as exc:
-                raise ParameterError(
-                    f"invalid --grow {at_event!r}: {exc}"
-                ) from exc
-        for spec in args.shrink:
-            try:
-                node_part, event_part = spec.split("@", 1)
-                node_id, at_event = int(node_part), int(event_part)
-            except ValueError:
-                raise ParameterError(
-                    f"--shrink expects NODE@EVENT (e.g. 1@600000), "
-                    f"got {spec!r}"
-                ) from None
-            try:
-                scale_events.append(
-                    ScaleEvent(
-                        at_event=at_event,
-                        action="remove",
-                        node_id=node_id,
-                    )
-                )
-            except ParameterError as exc:
-                raise ParameterError(
-                    f"invalid --shrink {spec!r}: {exc}"
-                ) from exc
-        for failure in failures:
-            if failure.at_event >= args.events:
-                raise ParameterError(
-                    f"--kill at event {failure.at_event} is past the "
-                    f"end of the stream ({args.events} events); it "
-                    "would never fire"
-                )
-        if args.membership and args.aggregation != "gossip":
-            raise ParameterError(
-                "--membership requires --aggregation gossip"
-            )
-        if not args.membership:
-            if args.kill_dead:
-                raise ParameterError(
-                    "--kill-dead requires --membership"
-                )
-            if args.suspect_after != 2:
-                raise ParameterError(
-                    "--suspect-after requires --membership"
-                )
-            if args.membership_quorum is not None:
-                raise ParameterError(
-                    "--membership-quorum requires --membership"
-                )
-            if args.membership_heal != "auto":
-                raise ParameterError(
-                    "--membership-heal requires --membership"
-                )
-        for scale in scale_events:
-            if scale.at_event >= args.events:
-                raise ParameterError(
-                    f"--grow/--shrink at event {scale.at_event} is "
-                    f"past the end of the stream ({args.events} "
-                    "events); it would never fire"
-                )
-        retention = None
-        if args.window_every is not None:
-            try:
-                retention = TumblingRetention(
-                    window_events=args.window_every,
-                    keep_windows=args.retain,
-                )
-            except ParameterError as exc:
-                raise ParameterError(
-                    f"invalid retention policy: {exc}"
-                ) from exc
-        elif args.retain is not None:
-            raise ParameterError("--retain requires --window-every")
-        if args.storage == "file" and args.storage_dir is None:
-            raise ParameterError("--storage file requires --storage-dir")
-        if args.storage_dir is not None and args.storage != "file":
-            raise ParameterError("--storage-dir requires --storage file")
-        if args.storage_overwrite and args.storage != "file":
-            raise ParameterError(
-                "--storage-overwrite requires --storage file"
-            )
-        if args.wal_fsync is not None and args.storage != "file":
-            raise ParameterError("--wal-fsync requires --storage file")
-        if args.no_telemetry and args.metrics_out is not None:
-            raise ParameterError(
-                "--metrics-out needs the telemetry layers; "
-                "drop --no-telemetry"
-            )
-        if args.no_telemetry and args.trace_out is not None:
-            raise ParameterError(
-                "--trace-out needs the telemetry layers; "
-                "drop --no-telemetry"
-            )
-        if args.aggregation != "gossip":
-            if args.gossip_every is not None:
-                raise ParameterError(
-                    "--gossip-every requires --aggregation gossip"
-                )
-            if args.gossip_fanout != 1:
-                raise ParameterError(
-                    "--gossip-fanout requires --aggregation gossip"
-                )
-            gossip_every = None
-        else:
-            gossip_every = (
-                args.gossip_every
-                if args.gossip_every is not None
-                else max(args.events // 8, 1)
-            )
-        return (
-            tuple(sorted(failures, key=lambda f: f.at_event)),
-            tuple(sorted(scale_events, key=lambda s: s.at_event)),
-            retention,
-            gossip_every,
-        )
-
     @classmethod
     def from_args(cls, args: Any) -> "ClusterConfig":
-        """Build the config every frontend shares, from CLI-shaped args.
+        """Parse a ``cluster`` CLI namespace into a config (only the
+        CLI builds configs this way).
 
-        The CLI, the HTTP serving layer, the serve daemons, and tests
-        all construct :class:`ClusterConfig` through this one audited
-        path: :meth:`validate` first (flag-interaction errors with the
-        CLI's exact text), then dataclass construction (field errors
-        wrapped as ``invalid cluster configuration: ...``, also the
-        CLI's historical text).  Raises
-        :class:`~repro.errors.ParameterError` in both cases.
+        Refuses (:class:`~repro.errors.ParameterError`) only what no
+        config field holds: a malformed ``NODE@EVENT`` spec, an action
+        at or past the end of the ``--events`` stream, ``--retain``
+        without ``--window-every``, and telemetry outputs under
+        ``--no-telemetry``.  Every knob-pairing rule is the dataclass's
+        own, re-raised as ``invalid cluster configuration: ...``.
         """
-        failures, scale_events, retention, gossip_every = cls.validate(
-            args
+        kills, kill_deads, shrinks = (
+            [_parse_node_at_event(flag, spec) for spec in specs]
+            for flag, specs in (
+                ("--kill", args.kill),
+                ("--kill-dead", args.kill_dead),
+                ("--shrink", args.shrink),
+            )
         )
+        for at_event in [
+            at_event for at_event, _ in kills + kill_deads + shrinks
+        ] + args.grow:
+            if at_event >= args.events:
+                raise ParameterError(
+                    f"--kill/--kill-dead/--grow/--shrink at event "
+                    f"{at_event} is past the end of the stream "
+                    f"({args.events} events); it would never fire"
+                )
+        if args.retain is not None and args.window_every is None:
+            raise ParameterError("--retain requires --window-every")
+        for flag, path in (
+            ("--metrics-out", args.metrics_out),
+            ("--trace-out", args.trace_out),
+        ):
+            if args.no_telemetry and path is not None:
+                raise ParameterError(
+                    f"{flag} needs the telemetry layers; drop --no-telemetry"
+                )
+        gossip_every = args.gossip_every
+        if args.aggregation == "gossip" and gossip_every is None:
+            gossip_every = max(args.events // 8, 1)
         try:
+            failures = [
+                NodeFailure(at_event, node_id) for at_event, node_id in kills
+            ] + [
+                NodeFailure(at_event, node_id, heal=False)
+                for at_event, node_id in kill_deads
+            ]
+            scale_events = [
+                ScaleEvent(at_event, "add") for at_event in args.grow
+            ] + [
+                ScaleEvent(at_event, "remove", node_id)
+                for at_event, node_id in shrinks
+            ]
             return cls(
                 n_nodes=args.nodes,
                 template=default_template(args.algorithm),
@@ -783,11 +654,17 @@ class ClusterConfig:
                 buffer_limit=args.buffer,
                 checkpoint_every=args.checkpoint_every or None,
                 hot_key_threshold=args.hot_threshold,
-                failures=failures,
+                failures=tuple(sorted(failures, key=lambda f: f.at_event)),
                 routing=args.routing,
                 ring_points=args.ring_points,
-                scale_events=scale_events,
-                retention=retention,
+                scale_events=tuple(
+                    sorted(scale_events, key=lambda s: s.at_event)
+                ),
+                retention=(
+                    TumblingRetention(args.window_every, args.retain)
+                    if args.window_every is not None
+                    else None
+                ),
                 storage=args.storage,
                 storage_dir=args.storage_dir,
                 storage_overwrite=args.storage_overwrite,
@@ -808,6 +685,18 @@ class ClusterConfig:
             raise ParameterError(
                 f"invalid cluster configuration: {exc}"
             ) from exc
+
+
+def _parse_node_at_event(flag: str, spec: str) -> tuple[int, int]:
+    """Parse a ``NODE@EVENT`` flag value into ``(event, node)``, the
+    field order of :class:`NodeFailure`."""
+    try:
+        node_part, event_part = spec.split("@", 1)
+        return int(event_part), int(node_part)
+    except ValueError:
+        raise ParameterError(
+            f"{flag} expects NODE@EVENT (e.g. 2@100000), got {spec!r}"
+        ) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -2290,18 +2179,20 @@ class ClusterSimulation:
         # therefore valid strict JSON) even when a tiny run lands inside
         # a single perf_counter tick.
         elapsed = max(elapsed, _MIN_ELAPSED_S)
-        live_stats = [
-            NodeStats(
-                node_id=node.node_id,
-                events=node.events_ingested,
-                keys=len(node.bank),
-                flushes=node.n_flushes,
-                checkpoints=self._tenure_counts(node.node_id)[0],
-                recoveries=self._tenure_counts(node.node_id)[1],
-                state_bits=node.state_bits(),
+        live_stats = []
+        for node in self._ordered_nodes():
+            checkpoints, recoveries = self._tenure_counts(node.node_id)
+            live_stats.append(
+                NodeStats(
+                    node_id=node.node_id,
+                    events=node.events_ingested,
+                    keys=len(node.bank),
+                    flushes=node.n_flushes,
+                    checkpoints=checkpoints,
+                    recoveries=recoveries,
+                    state_bits=node.state_bits(),
+                )
             )
-            for node in self._ordered_nodes()
-        ]
         node_stats = tuple(
             sorted(self._retired + live_stats, key=lambda s: s.node_id)
         )
@@ -2312,6 +2203,9 @@ class ClusterSimulation:
             mean = report.mean_relative_error
             rms = report.rms_relative_error
             worst = report.max_relative_error
+            state_bits = report.total_state_bits
+        else:
+            state_bits = view.total_state_bits()
         top = tuple(
             (
                 key,
@@ -2326,7 +2220,7 @@ class ClusterSimulation:
             n_keys=view.n_keys,
             hot_keys=len(self._router.hot_keys),
             merge_rounds=view.merge_rounds,
-            total_state_bits=view.total_state_bits(),
+            total_state_bits=state_bits,
             node_stats=node_stats,
             top=top,
             mean_relative_error=mean,

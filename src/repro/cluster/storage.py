@@ -650,10 +650,6 @@ class CheckpointStore(abc.ABC):
         """Durably record the cluster manifest (topology, incarnations)."""
 
     @abc.abstractmethod
-    def manifest(self) -> dict[str, Any] | None:
-        """The last written/loaded manifest (``None`` before the first)."""
-
-    @abc.abstractmethod
     def journal_migration(self, line: str) -> None:
         """Durably append one in-flight migration batch line.
 
@@ -695,9 +691,9 @@ class CheckpointStore(abc.ABC):
 class MemoryStore(CheckpointStore):
     """The historical in-process behavior, extracted behind the API.
 
-    Checkpoint lines and the manifest live in dicts; the WAL is a
-    :class:`SegmentedLog` holding plain event lists.  ``load`` always
-    fails — process memory does not survive the process.
+    Checkpoint lines live in a dict; the WAL is a :class:`SegmentedLog`
+    holding plain event lists.  The manifest is not kept: ``load``
+    always fails — process memory does not survive the process.
 
     >>> store = MemoryStore()
     >>> store.initialize()
@@ -716,7 +712,6 @@ class MemoryStore(CheckpointStore):
     def __init__(self, wal_segment_events: int | None = None) -> None:
         self._wal = SegmentedLog(wal_segment_events)
         self._lines: dict[int, str | None] = {}
-        self._manifest: dict[str, Any] | None = None
         self._journal: list[str] = []
 
     @property
@@ -727,7 +722,6 @@ class MemoryStore(CheckpointStore):
         self._wal = SegmentedLog(self._wal.segment_events)
         self._wal.attach_telemetry(getattr(self, "_telemetry", None))
         self._lines = {}
-        self._manifest = None
         self._journal = []
 
     def load(self) -> dict[str, Any]:
@@ -753,10 +747,7 @@ class MemoryStore(CheckpointStore):
         self._wal.drop(node_id)
 
     def write_manifest(self, payload: Mapping[str, Any]) -> None:
-        self._manifest = dict(payload)
-
-    def manifest(self) -> dict[str, Any] | None:
-        return self._manifest
+        """Nothing to record: a memory cluster is never loaded back."""
 
     def journal_migration(self, line: str) -> None:
         self._journal.append(line)
@@ -959,9 +950,6 @@ class FileStore(CheckpointStore):
         )
         self._manifest = body
 
-    def manifest(self) -> dict[str, Any] | None:
-        return self._manifest
-
     def journal_migration(self, line: str) -> None:
         # Append + fsync per batch: the journal is the only durable
         # copy of an in-flight batch, so it must hit the platter before
@@ -1006,9 +994,10 @@ def make_store(
 ) -> CheckpointStore:
     """Build a checkpoint store by backend name.
 
-    ``wal_fsync_every`` enables group-commit fsync on file-backed WAL
-    appends; the memory backend has no files to sync and ignores it (so
-    one config can be replayed on both backends unchanged).
+    ``directory``, ``overwrite`` and ``wal_fsync_every`` (group-commit
+    fsync on WAL appends) configure the file backend; the memory
+    backend takes none of them, and
+    :class:`~repro.cluster.simulation.ClusterConfig` refuses them there.
 
     >>> make_store("memory").latest  # doctest: +ELLIPSIS
     <bound method MemoryStore.latest of ...>

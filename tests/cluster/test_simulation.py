@@ -124,6 +124,23 @@ class TestCrashRecovery:
             NodeFailure(at_event=-1, node_id=0)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"storage_dir": "/nonexistent/cluster"},
+            {"storage_overwrite": True},
+            {"wal_fsync_every": 8},
+        ],
+        ids=["storage_dir", "storage_overwrite", "wal_fsync_every"],
+    )
+    def test_file_store_knobs_refused_on_memory_store(self, knob):
+        """A file-store knob on the memory store would be silently
+        ignored, so the config refuses it."""
+        with pytest.raises(ParameterError):
+            ClusterConfig(storage="memory", **knob)
+
+
 class TestDeterminism:
     def test_identical_runs_bit_identical(self):
         kwargs = dict(

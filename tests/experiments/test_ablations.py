@@ -65,22 +65,29 @@ class TestRoundingAblation:
         assert dyadic[2] - exact[2] <= 1.5
 
 
+@pytest.fixture(scope="module")
+def default_transition_ablation():
+    """The default ablation is deterministic and slow, so compute it once
+    for every test that reads it."""
+    return run_transition_ablation()
+
+
 class TestTransitionAblation:
-    def test_appendix_a_scale_leaks(self):
-        result = run_transition_ablation()
+    def test_appendix_a_scale_leaks(self, default_transition_ablation):
+        result = default_transition_ablation
         label, transition, worst, ratio = result.rows[0]
         assert "Appendix A" in label
         assert ratio > 1000.0
 
-    def test_paper_choice_safe(self):
-        result = run_transition_ablation()
+    def test_paper_choice_safe(self, default_transition_ablation):
+        result = default_transition_ablation
         label, transition, worst, ratio = result.rows[2]
         assert "8/a" in label
         assert ratio < 1.0
 
-    def test_monotone_in_transition(self):
+    def test_monotone_in_transition(self, default_transition_ablation):
         """A longer prefix can only lower the worst residual failure."""
-        result = run_transition_ablation()
+        result = default_transition_ablation
         worsts = [row[2] for row in result.rows]
         assert worsts == sorted(worsts, reverse=True)
 

@@ -722,3 +722,47 @@ class TestCommands:
             main(args)  # same dir again: refused without overwrite
         assert main([*args, "--storage-overwrite"]) == 0
 
+
+
+_GOSSIP = ["--aggregation", "gossip"]
+_MEMBERSHIP = [*_GOSSIP, "--membership"]
+
+#: ``cluster`` invocations that must be refused before any event runs,
+#: each with every other flag valid so the named flag is the only fault.
+_CLUSTER_REFUSALS = {
+    "membership-without-gossip": ["--membership"],
+    "kill-dead-without-membership": [*_GOSSIP, "--kill-dead", "1@50"],
+    "suspect-after-without-membership": [*_GOSSIP, "--suspect-after", "3"],
+    "quorum-without-membership": [*_GOSSIP, "--membership-quorum", "2"],
+    "heal-without-membership": [*_GOSSIP, "--membership-heal", "recover"],
+    "retain-without-window": ["--retain", "2"],
+    "kill-dead-no-at": [*_MEMBERSHIP, "--kill-dead", "nonsense"],
+    "kill-dead-bad-event": [*_MEMBERSHIP, "--kill-dead", "1@soon"],
+    "shrink-no-at": ["--shrink", "nonsense"],
+    "shrink-bad-node": ["--shrink", "one@50"],
+    "kill-at-end": ["--kill", "1@100"],
+    "kill-past-end": ["--kill", "1@500"],
+    "kill-dead-past-end": [*_MEMBERSHIP, "--kill-dead", "1@500"],
+    "grow-at-end": ["--grow", "100"],
+    "grow-past-end": ["--grow", "500"],
+    "shrink-at-end": ["--shrink", "1@100"],
+    "shrink-past-end": ["--shrink", "1@500"],
+}
+
+
+class TestClusterRefusals:
+    @pytest.mark.parametrize(
+        "flags", _CLUSTER_REFUSALS.values(), ids=_CLUSTER_REFUSALS.keys()
+    )
+    def test_refused_with_a_message(self, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cluster", "--events", "100", "--keys", "20", *flags])
+        assert isinstance(excinfo.value.code, str)
+        assert excinfo.value.code
+
+    def test_explicit_parallel_plan_is_reported_at_one_worker(
+        self, capsys
+    ):
+        args = ["cluster", "--events", "500", "--keys", "20"]
+        assert main([*args, "--plan", "parallel", "--workers", "1"]) == 0
+        assert "parallel ingest: 1 workers" in capsys.readouterr().out
