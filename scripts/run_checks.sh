@@ -3,7 +3,7 @@
 # considers "green", in the order CI runs it.
 #
 #   scripts/run_checks.sh            # full check suite
-#   scripts/run_checks.sh --no-bench # skip the system smokes (4-6)
+#   scripts/run_checks.sh --no-bench # skip the bench + system smokes (4-7)
 #   scripts/run_checks.sh --no-cov   # skip the coverage report + floor
 #
 # Steps:
@@ -11,14 +11,17 @@
 #      the whole-cluster scenario bars in tests/cluster/test_scenarios.py)
 #   2. explicit doctest pass           (same tests, surfaced separately)
 #   3. docs link check                 (scripts/check_docs_links.py)
-#   4. process-plan smoke              (a crash-bearing stream through
+#   4. traced benchmark runs           (perfbench/run.py --trace 1 over
+#      the four workloads: every ledger wrapper still binds by name,
+#      and each run must report "correct": true)
+#   5. process-plan smoke              (a crash-bearing stream through
 #      per-node worker processes plus a serve up/status/down round
 #      trip, each under a hard 120 s timeout)
-#   5. serving smoke                   (--serve-http over a real run:
+#   6. serving smoke                   (--serve-http over a real run:
 #      all four JSON endpoints fetched and validated as strict JSON,
 #      under a hard timeout)
-#   6. telemetry sample                (metrics snapshot + trace log)
-#   7. cluster coverage report + floor (scripts/run_coverage.py —
+#   7. telemetry sample                (metrics snapshot + trace log)
+#   8. cluster coverage report + floor (scripts/run_coverage.py —
 #      pytest-cov when installed, stdlib tracer otherwise; fails below
 #      the floor on src/repro/cluster/)
 set -euo pipefail
@@ -48,6 +51,17 @@ echo "== docs link check =="
 python scripts/check_docs_links.py
 
 if [ "$run_bench" -eq 1 ]; then
+  echo
+  echo "== traced benchmark runs (every ledger wrapper still binds) =="
+  for workload in ingest-zipf ingest-weighted-durable ingest-process serve-mixed; do
+    result="$(python3 perfbench/run.py --workload "$workload" \
+      --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    case "$result" in
+      *'"correct": true'*) echo "$workload: correct" ;;
+      *) echo "traced $workload run failed its gate: $result" >&2; exit 1 ;;
+    esac
+  done
+
   echo
   echo "== process-plan smoke (2 workers, hard 120s budget) =="
   process_dir="$(mktemp -d)"

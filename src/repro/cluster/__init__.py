@@ -35,12 +35,13 @@ deployment:
 * :class:`~repro.cluster.checkpoint.BankCheckpoint` — whole-bank
   snapshot/restore built on :mod:`repro.core.codec` and stamped with the
   capturing topology, so a crashed node recovers deterministically;
-* :mod:`~repro.cluster.storage` — the pluggable durability layer:
+* :mod:`~repro.cluster.storage` — the durability layer:
   :class:`~repro.cluster.storage.CheckpointStore` (in-process
   ``MemoryStore`` or on-disk ``FileStore`` with atomic, checksummed
-  records) plus the segmented :class:`~repro.cluster.storage.
-  WriteAheadLog`, which bounds retained-log memory by forcing a fence
-  checkpoint whenever a segment fills;
+  records) plus the write-ahead
+  :class:`~repro.cluster.storage.SegmentedLog`, which bounds
+  retained-log memory by forcing a fence checkpoint whenever a segment
+  fills;
 * :class:`~repro.cluster.simulation.ClusterSimulation` — the event-loop
   driver with failure injection, durable-log replay, scale events, and
   retention, plus throughput / state-bits metrics;
@@ -158,7 +159,6 @@ from repro.cluster.storage import (
     FileStore,
     MemoryStore,
     SegmentedLog,
-    WriteAheadLog,
     make_store,
 )
 
@@ -215,7 +215,6 @@ __all__ = [
     "TumblingRetention",
     "ViewSnapshot",
     "WorkerFleet",
-    "WriteAheadLog",
     "default_template",
     "dump_strict_json",
     "execute_rebalance",

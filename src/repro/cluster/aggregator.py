@@ -333,18 +333,12 @@ class MergeTreeAggregator:
         """Merge every key across all nodes (non-destructive).
 
         Nodes are flushed first so the view reflects all accepted
-        traffic.  Since PR 9 this is a compatibility shim over the one
-        blessed read surface: it routes through
-        :class:`~repro.cluster.query.ClusterReader` with
-        ``consistency="consistent"``, which pays for exactly this
-        central fold (:meth:`_fold_view`) — so every caller of
-        ``global_view()`` and every reader query answer from the same
-        audited path, bit for bit.
+        traffic.  This is the central fold (:meth:`_fold_view`) that a
+        :class:`~repro.cluster.query.ClusterReader` consistent read
+        pays for, so every caller of ``global_view()`` and every reader
+        query answer from the same path, bit for bit.
         """
-        from repro.cluster.query import ClusterReader
-
-        reader = ClusterReader(self, consistency="consistent")
-        return reader.raw_view()
+        return self._fold_view()
 
     def _fold_view(self) -> GlobalView:
         """The central fold itself: flush every node, merge every key

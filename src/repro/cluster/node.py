@@ -12,7 +12,7 @@ single-node throughput lever.
 Because a node may crash, its bank can be captured into a
 :class:`~repro.cluster.checkpoint.BankCheckpoint` and rebuilt from it; the
 buffer is volatile by design (the simulation redelivers unacknowledged
-events from the node's :class:`~repro.cluster.storage.WriteAheadLog` on
+events from the node's :class:`~repro.cluster.storage.SegmentedLog` on
 recovery — see :mod:`repro.cluster.storage` for where checkpoints and
 the durable log live).
 

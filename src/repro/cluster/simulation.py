@@ -1048,6 +1048,13 @@ class ClusterSimulation:
             track_truth=config.track_truth,
         )
 
+    def _reincarnate(self, node_id: int) -> IngestNode:
+        """A fresh node at ``node_id``'s next incarnation (bumped here),
+        so it never shares coin flips with a predecessor."""
+        incarnation = self._incarnation.get(node_id, -1) + 1
+        self._incarnation[node_id] = incarnation
+        return self._fresh_node(node_id, incarnation)
+
     def _init_bookkeeping(self, node_id: int) -> None:
         # Incarnation is deliberately not reset here: it outlives a
         # node's tenure so reused ids get fresh seeds.  Checkpoint and
@@ -1735,25 +1742,14 @@ class ClusterSimulation:
         share future coin flips with its dead predecessor), restores the
         store's latest checkpoint (or an empty bank if none was ever
         taken), then replays the durable log of events delivered since
-        that checkpoint.  Used by :meth:`crash_node` for a single crash
-        and by :func:`recover_cluster` for whole-process recovery.
+        that checkpoint.  Used by :meth:`_revive` for a single crash or
+        heal and by :func:`recover_cluster` for whole-process recovery.
         """
-        config = self._config
-        self._incarnation[node_id] = self._incarnation.get(node_id, -1) + 1
-        incarnation_seed = node_seed(
-            config.seed, node_id, self._incarnation[node_id]
-        )
-        node = IngestNode(
-            node_id,
-            config.template,
-            seed=incarnation_seed,
-            buffer_limit=config.buffer_limit,
-            track_truth=config.track_truth,
-        )
+        node = self._reincarnate(node_id)
         line = self._store.latest(node_id)
         if line is not None:
             checkpoint = BankCheckpoint.decode(line)
-            node.adopt_bank(checkpoint.restore(seed=incarnation_seed))
+            node.adopt_bank(checkpoint.restore(seed=node.bank.seed))
             node.events_ingested = int(
                 checkpoint.meta.get("events_ingested", 0)
             )
@@ -1812,6 +1808,16 @@ class ClusterSimulation:
         self._telemetry.trace(
             "crash", position=self._stream_position, node=node_id
         )
+        self._revive(node_id)
+        self._sync_manifest()
+
+    def _revive(self, node_id: int) -> None:
+        """:meth:`_recover_node`, then what the recovery leaves due.
+
+        The checkpoint the replay may have made overdue is taken at
+        once, and the node's own gossip digest entry is rebuilt.
+        Shared by :meth:`crash_node` and the membership heal.
+        """
         self._recover_node(node_id)
         if self.fence_due(node_id):
             self.checkpoint_node(node_id)
@@ -1826,7 +1832,6 @@ class ClusterSimulation:
                 epoch=self._router.epoch,
                 window=self._window,
             )
-        self._sync_manifest()
 
     # ------------------------------------------------------------------
     # self-healing membership (repro.cluster.membership)
@@ -1953,16 +1958,7 @@ class ClusterSimulation:
         crash (that was accounted at the kill)."""
         self._dead.discard(origin)
         self._kill_rounds.pop(origin, None)
-        self._recover_node(origin)
-        if self.fence_due(origin):
-            self.checkpoint_node(origin)
-        assert self._gossip is not None
-        self._gossip.reset_node(origin)
-        self._gossip.refresh(
-            self._nodes[origin],
-            epoch=self._router.epoch,
-            window=self._window,
-        )
+        self._revive(origin)
 
     def _fence_heal_dead(self) -> None:
         """Force-heal every dead node (recover path), quorum or not.
@@ -2081,9 +2077,7 @@ class ClusterSimulation:
             node_id = self._next_auto_id
         new_id = self._router.add_node(node_id)
         self._next_auto_id = max(self._next_auto_id, new_id + 1)
-        incarnation = self._incarnation.get(new_id, -1) + 1
-        self._incarnation[new_id] = incarnation
-        self._nodes[new_id] = self._fresh_node(new_id, incarnation)
+        self._nodes[new_id] = self._reincarnate(new_id)
         self._init_bookkeeping(new_id)
         if self._gossip is not None:
             self._gossip.add_node(new_id)

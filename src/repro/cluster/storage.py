@@ -1,39 +1,31 @@
 """Durable checkpoint stores and the segmented write-ahead log.
 
-Before this layer existed, the simulation's durability bookkeeping was a
-pair of Python dicts: one holding the last :class:`~repro.cluster.
-checkpoint.BankCheckpoint` line per node, one holding the *entire* list
-of events delivered since that checkpoint.  With ``checkpoint_every=None``
-the second dict retained the whole stream — an unbounded memory leak
-dressed up as a durable log.  This module replaces both dicts with a
-pluggable abstraction:
+Recovery of any node is its latest checkpoint plus a replay of the
+events delivered since that checkpoint.  This module holds both halves:
 
 * :class:`CheckpointStore` — where the latest checkpoint line per node
   lives, plus the cluster *manifest* (topology stamp, incarnations,
-  config echo) that recovery needs to rebuild a simulation;
-* :class:`WriteAheadLog` — the per-node durable log of events delivered
-  since the node's last checkpoint fence.
+  config echo) that recovery needs to rebuild a simulation.  Two
+  backends ship:
 
-Three concrete backends ship:
+  * :class:`MemoryStore` — process memory only; ``load`` (cold
+    recovery) is impossible.
+  * :class:`FileStore` — one directory per cluster.  Checkpoint lines
+    and the manifest are written atomically (write to a temp file,
+    then ``os.replace``) so a crash mid-write can never leave a torn
+    record, and every line is checksummed so corruption fails loudly
+    with :class:`~repro.errors.StateError`.  A simulation persisted
+    this way can be re-opened from disk with
+    :func:`~repro.cluster.simulation.recover_cluster`.
 
-* :class:`MemoryStore` — the historical in-process behavior, extracted.
-  Nothing touches disk; ``load`` (cold recovery) is impossible.
-* :class:`FileStore` — one directory per cluster.  Checkpoint lines and
-  the manifest are written atomically (write to a temp file, then
-  ``os.replace``) so a crash mid-write can never leave a torn record,
-  and every line is checksummed so corruption fails loudly with
-  :class:`~repro.errors.StateError`.  A simulation persisted this way
-  can be re-opened from disk with
-  :func:`~repro.cluster.simulation.recover_cluster`.
-* :class:`SegmentedLog` — the write-ahead log used by both stores.  It
-  rolls fixed-size segments and truncates *every* segment at a node's
-  checkpoint fence; once a segment's worth of events is retained before
-  a fence arrives,
-  :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due` reports
-  it and the simulation takes a forced checkpoint.  Replay cost is
-  therefore proportional to ``min(checkpoint_every, segment size)`` —
-  never to stream length — which fixes the unbounded-log leak by
-  construction.
+* :class:`SegmentedLog` — the write-ahead log each store owns: per
+  node, the list of events delivered since the node's last checkpoint
+  fence.  Once a segment's worth of events is retained,
+  :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due`
+  reports it and the simulation takes a forced checkpoint.  Replay
+  cost is therefore proportional to ``min(checkpoint_every, segment
+  size)`` — never to stream length.  The file store's log keeps the
+  same events on disk as a chain of segment files of that size.
 
 Store layout of a :class:`FileStore` directory::
 
@@ -47,8 +39,8 @@ The storage backend must never change *what* a simulation computes, only
 where its durable state lives: the same config seed and event stream
 produce bit-identical results on :class:`MemoryStore` and
 :class:`FileStore` (a tier-1 invariant).  Both therefore share the same
-in-memory :class:`SegmentedLog` segment/fence logic; the file backend
-only adds persistence side effects.
+in-memory :class:`SegmentedLog` fence logic; the file backend only adds
+persistence side effects.
 """
 
 from __future__ import annotations
@@ -69,7 +61,6 @@ from repro.errors import ParameterError, StateError
 from repro.stream.workload import KeyedEvent
 
 __all__ = [
-    "WriteAheadLog",
     "SegmentedLog",
     "CheckpointStore",
     "MemoryStore",
@@ -116,14 +107,25 @@ def decode_event(line: str) -> KeyedEvent:
 # ----------------------------------------------------------------------
 # write-ahead log
 # ----------------------------------------------------------------------
-class WriteAheadLog(abc.ABC):
+class SegmentedLog:
     """Per-node durable log of events delivered since the last fence.
 
     The simulation appends every routed event before handing it to the
     node, replays the log during crash recovery, and *fences* the log
     (truncating it) whenever the node checkpoints — so the log always
     holds exactly the events a recovery must redeliver on top of the
-    last checkpoint.
+    last checkpoint.  Each node's log is one list of retained events
+    plus the sequence of the first of them.
+
+    ``segment_events=None`` never asks for a fence: the log only ever
+    shrinks at a checkpoint.  With a limit, :meth:`needs_fence` turns
+    true once ``segment_events`` events are retained; the simulation
+    makes the same retained-events test in
+    :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due` and
+    takes a forced checkpoint, whose fence truncates the log.  Retained
+    log length is therefore bounded by the segment size even when
+    periodic checkpointing is disabled.  On disk the same limit is the
+    size of each segment file (:class:`_FileSegmentedLog`).
 
     Threading contract (the parallel ingest pipeline relies on it):
     :meth:`append` for a given ``node_id`` is called only from the one
@@ -135,78 +137,8 @@ class WriteAheadLog(abc.ABC):
     thread after a drain handshake for the node it operates on — no
     append in flight *for that node*; appends to **other** nodes may
     still be running (a per-node checkpoint drains only its node).
-    Implementations must therefore keep cross-node state out of these
-    operations: everything they touch has to be partitioned by node
-    id, as the shipped :class:`SegmentedLog` backends are.  See
-    :mod:`repro.cluster.pipeline`.
-    """
-
-    @abc.abstractmethod
-    def register(self, node_id: int) -> None:
-        """Start tracking ``node_id`` (idempotent)."""
-
-    @abc.abstractmethod
-    def append(self, node_id: int, event: KeyedEvent) -> None:
-        """Record one delivered event."""
-
-    @abc.abstractmethod
-    def replay(self, node_id: int) -> list[KeyedEvent]:
-        """Events delivered since the node's last fence, in order."""
-
-    @abc.abstractmethod
-    def fence(self, node_id: int) -> None:
-        """Checkpoint taken: truncate everything logged so far."""
-
-    @abc.abstractmethod
-    def drop(self, node_id: int) -> None:
-        """Stop tracking a retired node and discard its log."""
-
-    @abc.abstractmethod
-    def retained_events(self, node_id: int) -> int:
-        """Number of events currently retained for ``node_id``."""
-
-    @abc.abstractmethod
-    def sequence(self, node_id: int) -> int:
-        """Lifetime append count — the fence position a checkpoint covers.
-
-        A checkpoint taken *now* covers every event appended so far, so
-        recording ``sequence(node_id)`` in the checkpoint lets recovery
-        discard any log entry the checkpoint already includes (see
-        :meth:`truncate_through`), even if the process died between
-        writing the checkpoint and fencing the log.
-        """
-
-    @abc.abstractmethod
-    def truncate_through(self, node_id: int, seq: int) -> None:
-        """Drop retained events with sequence below ``seq``.
-
-        The recovery-side half of the torn-fence protocol: replaying on
-        top of a checkpoint that records fence position ``seq`` must
-        skip events the checkpoint already covers, or they would count
-        twice.
-        """
-
-    def needs_fence(self, node_id: int) -> bool:
-        """Whether a filled segment is waiting on a checkpoint fence."""
-        return False
-
-    def storage_bytes(self) -> int:
-        """Bytes of log state currently retained (all nodes)."""
-        return 0
-
-
-class SegmentedLog(WriteAheadLog):
-    """A WAL that rolls fixed-size segments and truncates at fences.
-
-    ``segment_events=None`` reproduces the historical single unbounded
-    segment (the log only ever shrinks at a checkpoint fence).  With a
-    limit, the active segment seals once it holds ``segment_events``
-    events and :meth:`needs_fence` turns true; the simulation makes the
-    same retained-events test in
-    :meth:`~repro.cluster.simulation.ClusterSimulation.fence_due` and
-    takes a forced checkpoint, whose fence truncates every segment.
-    Retained log length is therefore bounded by the segment size even
-    when periodic checkpointing is disabled.
+    Every piece of state these operations touch is therefore
+    partitioned by node id.  See :mod:`repro.cluster.pipeline`.
 
     >>> log = SegmentedLog(segment_events=2)
     >>> log.register(0)
@@ -214,13 +146,13 @@ class SegmentedLog(WriteAheadLog):
     ...     log.append(0, KeyedEvent(key))
     >>> log.retained_events(0)
     3
-    >>> log.needs_fence(0)  # segment ['a', 'b'] sealed, awaiting fence
+    >>> log.needs_fence(0)  # a full segment's worth awaits a fence
     True
     >>> [event.key for event in log.replay(0)]
     ['a', 'b', 'c']
-    >>> log.fence(0)  # checkpoint taken: all segments truncate
-    >>> log.retained_events(0), log.needs_fence(0)
-    (0, False)
+    >>> log.fence(0)  # checkpoint taken: the log truncates
+    >>> log.retained_events(0), log.needs_fence(0), log.sequence(0)
+    (0, False, 3)
     """
 
     def __init__(self, segment_events: int | None = None) -> None:
@@ -232,10 +164,8 @@ class SegmentedLog(WriteAheadLog):
         #: Telemetry facade (``repro.obs.Telemetry``) or None; attached
         #: by the owning store, never consulted for any WAL decision.
         self._telemetry: Any = None
-        #: node id -> list of segments; the last one is the active segment.
-        self._segments: dict[int, list[list[KeyedEvent]]] = {}
-        #: node id -> lifetime append count (next event's sequence).
-        self._next_seq: dict[int, int] = {}
+        #: node id -> retained events, oldest first.
+        self._events: dict[int, list[KeyedEvent]] = {}
         #: node id -> sequence of the first retained event.
         self._base_seq: dict[int, int] = {}
         #: node id -> (sequence counted through, serialized bytes of the
@@ -256,66 +186,73 @@ class SegmentedLog(WriteAheadLog):
         """
         self._telemetry = telemetry
 
-    def _node_segments(self, node_id: int) -> list[list[KeyedEvent]]:
+    def _node_events(self, node_id: int) -> list[KeyedEvent]:
         try:
-            return self._segments[node_id]
+            return self._events[node_id]
         except KeyError:
             raise StateError(
                 f"node {node_id} is not registered with the WAL"
             ) from None
 
     def register(self, node_id: int) -> None:
-        if node_id in self._segments:
+        """Start tracking ``node_id`` (idempotent)."""
+        if node_id in self._events:
             return
-        self._segments[node_id] = [[]]
-        self._next_seq[node_id] = 0
+        self._events[node_id] = []
         self._base_seq[node_id] = 0
         self._byte_tally[node_id] = (0, 0)
         self._persist_register(node_id)
 
     def append(self, node_id: int, event: KeyedEvent) -> None:
-        segments = self._node_segments(node_id)
-        segments[-1].append(event)
-        self._next_seq[node_id] += 1
+        """Record one delivered event."""
+        self._node_events(node_id).append(event)
         self._persist_append(node_id, event)
-        if (
-            self._segment_events is not None
-            and len(segments[-1]) >= self._segment_events
-        ):
-            segments.append([])  # seal the active segment, roll a new one
-            self._persist_roll(node_id)
 
     def replay(self, node_id: int) -> list[KeyedEvent]:
-        return [
-            event
-            for segment in self._node_segments(node_id)
-            for event in segment
-        ]
+        """Events delivered since the node's last fence, in order."""
+        return list(self._node_events(node_id))
 
     def fence(self, node_id: int) -> None:
-        self._node_segments(node_id)[:] = [[]]
-        self._base_seq[node_id] = self._next_seq[node_id]
-        self._byte_tally[node_id] = (self._next_seq[node_id], 0)
+        """Checkpoint taken: truncate everything logged so far."""
+        seq = self.sequence(node_id)
+        self._events[node_id].clear()
+        self._base_seq[node_id] = seq
+        self._byte_tally[node_id] = (seq, 0)
         self._persist_fence(node_id)
 
     def drop(self, node_id: int) -> None:
-        self._node_segments(node_id)
-        del self._segments[node_id]
-        del self._next_seq[node_id]
+        """Stop tracking a retired node and discard its log."""
+        self._node_events(node_id)
+        del self._events[node_id]
         del self._base_seq[node_id]
         del self._byte_tally[node_id]
         self._persist_drop(node_id)
 
     def retained_events(self, node_id: int) -> int:
-        return sum(len(segment) for segment in self._node_segments(node_id))
+        """Number of events currently retained for ``node_id``."""
+        return len(self._node_events(node_id))
 
     def sequence(self, node_id: int) -> int:
-        self._node_segments(node_id)
-        return self._next_seq[node_id]
+        """Lifetime append count — the fence position a checkpoint covers.
+
+        A checkpoint taken *now* covers every event appended so far, so
+        recording ``sequence(node_id)`` in the checkpoint lets recovery
+        discard any log entry the checkpoint already includes (see
+        :meth:`truncate_through`), even if the process died between
+        writing the checkpoint and fencing the log.
+        """
+        return len(self._node_events(node_id)) + self._base_seq[node_id]
 
     def truncate_through(self, node_id: int, seq: int) -> None:
-        segments = self._node_segments(node_id)
-        if seq > self._next_seq[node_id]:
+        """Drop retained events with sequence below ``seq``.
+
+        The recovery-side half of the torn-fence protocol: replaying on
+        top of a checkpoint that records fence position ``seq`` must
+        skip events the checkpoint already covers, or they would count
+        twice.
+        """
+        events = self._node_events(node_id)
+        if seq > self.sequence(node_id):
             # The sequence bookkeeping was reconstructed from segment
             # files that a torn fence partially deleted, so it lags the
             # checkpoint — which is authoritative: everything retained
@@ -324,36 +261,26 @@ class SegmentedLog(WriteAheadLog):
             # continue from the true position instead of recycling
             # covered sequence numbers, which a later recovery would
             # truncate away as if they were old events.
-            segments[:] = [[]]
-            self._next_seq[node_id] = seq
+            events.clear()
             self._base_seq[node_id] = seq
-            self._byte_tally[node_id] = (seq, 0)
-            self._persist_fence(node_id)
+            self.fence(node_id)
             return
         drop = seq - self._base_seq[node_id]
         if drop <= 0:
             return
-        # Trim whole segments first, then the head of the survivor.
         # Disk segments are left alone: a later fence deletes them, and
         # a re-load re-applies this same truncation from the checkpoint.
-        for index, segment in enumerate(segments):
-            if drop < len(segment):
-                segments[index] = segment[drop:]
-                del segments[:index]
-                break
-            drop -= len(segment)
-        else:
-            segments[:] = [[]]
+        del events[:drop]
         self._base_seq[node_id] = seq
         self._byte_tally[node_id] = (seq, 0)  # recount the survivors
 
     def needs_fence(self, node_id: int) -> bool:
         """True once the retained log has reached a full segment's worth.
 
-        Measured in *events retained*, not segments: a partial segment
-        re-loaded from disk after a restart must not trigger a spurious
-        fence checkpoint, so merely re-opening a store never rewrites
-        its state.
+        Measured in *events retained*, not segment files: a partial
+        segment re-loaded from disk after a restart must not trigger a
+        spurious fence checkpoint, so merely re-opening a store never
+        rewrites its state.
         """
         if self._segment_events is None:
             return False
@@ -366,36 +293,26 @@ class SegmentedLog(WriteAheadLog):
         appended since the previous one, the newest ``fresh`` retained.
         """
         total = 0
-        for node_id, segments in self._segments.items():
+        for node_id, events in self._events.items():
             counted_through, counted = self._byte_tally[node_id]
-            fresh = self._next_seq[node_id] - counted_through
+            fresh = self._base_seq[node_id] + len(events) - counted_through
             if fresh:
-                tails, need = [], fresh
-                for segment in reversed(segments):
-                    if need <= 0:
-                        break
-                    tails.append(segment[-need:])
-                    need -= len(segment)
                 counted += sum(
                     len(encode_event(event)) + 1  # trailing newline
-                    for tail in tails
-                    for event in tail
+                    for event in events[-fresh:]
                 )
-                self._byte_tally[node_id] = (self._next_seq[node_id], counted)
+                self._byte_tally[node_id] = (counted_through + fresh, counted)
             total += counted
         return total
 
     # Persistence hooks — no-ops for the in-memory log; the file-backed
-    # subclass overrides them.  Segment/fence *logic* stays identical
-    # across backends, which is what keeps runs bit-reproducible no
-    # matter where the log lives.
+    # subclass overrides them.  The log itself is identical across
+    # backends, which is what keeps runs bit-reproducible no matter
+    # where it lives.
     def _persist_register(self, node_id: int) -> None:
         pass
 
     def _persist_append(self, node_id: int, event: KeyedEvent) -> None:
-        pass
-
-    def _persist_roll(self, node_id: int) -> None:
         pass
 
     def _persist_fence(self, node_id: int) -> None:
@@ -411,13 +328,16 @@ class SegmentedLog(WriteAheadLog):
 class _FileSegmentedLog(SegmentedLog):
     """File-backed :class:`SegmentedLog`: one directory per node.
 
-    Each segment is one append-only file of :func:`encode_event` lines,
-    flushed per append so a recovery process sees every delivered event.
-    A fence deletes all of the node's segment files.  A segment file is
-    named by the *sequence number* of its first event (monotone over the
-    node's lifetime), so a re-opened log can reconstruct every retained
-    event's sequence — which is what lets recovery skip entries an
-    already-persisted checkpoint covers (the torn-fence protocol).
+    A node's retained log is a chain of segment files, each one
+    append-only file of :func:`encode_event` lines, flushed per append
+    so a recovery process sees every delivered event.  The active file
+    seals after ``segment_events`` lines and the next one opens; a
+    fence deletes all of the node's segment files.  A segment file is
+    named by the *sequence number* of its first event (monotone over
+    the node's lifetime), so a re-opened log can reconstruct every
+    retained event's sequence — which is what lets recovery skip
+    entries an already-persisted checkpoint covers (the torn-fence
+    protocol).
 
     ``fsync_every`` adds *group commit*: every ``fsync_every``-th append
     to a node's log calls ``os.fsync``, pushing the lines past the OS
@@ -443,58 +363,60 @@ class _FileSegmentedLog(SegmentedLog):
             )
         self._dir = pathlib.Path(directory)
         self._fsync_every = fsync_every
+        #: node id -> the open active segment file.
+        self._handles: dict[int, IO[str]] = {}
+        #: node id -> lines written to the active segment file.
+        self._active_lines: dict[int, int] = {}
         #: node id -> appends since that node's last fsync.
         self._unsynced: dict[int, int] = {}
-        self._handles: dict[int, IO[str]] = {}
 
     def _node_dir(self, node_id: int) -> pathlib.Path:
         return self._dir / f"node-{node_id}"
 
-    def _record_fsync(
-        self, node_id: int, seconds: float | None
-    ) -> None:
-        """Publish one fsync into the attached telemetry (if any).
+    def _fsync(self, node_id: int, handle: IO[str]) -> None:
+        """Fsync one node's active file and publish it into telemetry.
 
-        ``seconds`` is ``None`` when the wall-clock layer is disabled —
-        the count is deterministic (one per physical fsync) and always
-        recorded; durations and traces are telemetry-gated extras.
+        The count is deterministic (one per physical fsync) and always
+        recorded when telemetry is attached; the duration and the trace
+        record are telemetry-gated extras.
         """
+        start = time.perf_counter()
+        os.fsync(handle.fileno())
+        seconds = time.perf_counter() - start
         telemetry = self._telemetry
         if telemetry is None:
             return
         telemetry.registry.inc("wal_fsyncs_total", node=node_id)
-        if seconds is not None:
+        if telemetry.enabled:
             telemetry.registry.observe("wal_fsync_seconds", seconds)
             telemetry.stage_timer().add("fsync", seconds)
         if telemetry.trace_active:
             telemetry.trace("wal_fsync", node=node_id)
 
-    def _sync_handle(self, node_id: int, handle: IO[str]) -> None:
-        """Flush a node's pending group commit (sealing or closing)."""
-        if self._unsynced.pop(node_id, 0):
-            handle.flush()
-            telemetry = self._telemetry
-            if telemetry is not None and telemetry.enabled:
-                start = time.perf_counter()
-                os.fsync(handle.fileno())
-                self._record_fsync(
-                    node_id, time.perf_counter() - start
-                )
-            else:
-                os.fsync(handle.fileno())
-                self._record_fsync(node_id, None)
+    def _close_active(self, node_id: int, sync: bool) -> None:
+        """Close a node's active file, first fsyncing its pending group
+        commit when ``sync`` (a seal or a close; a fence or a drop
+        deletes the file instead)."""
+        handle = self._handles.pop(node_id, None)
+        unsynced = self._unsynced.pop(node_id, 0)
+        self._active_lines.pop(node_id, None)
+        if handle is not None:
+            if sync and unsynced:
+                self._fsync(node_id, handle)
+            handle.close()
 
     def _open_segment(self, node_id: int) -> None:
-        start_seq = self._next_seq.get(node_id, 0)
+        """Seal the active file and open the next, named by the
+        sequence of the first event it will hold."""
+        self._close_active(node_id, sync=True)
         node_dir = self._node_dir(node_id)
         node_dir.mkdir(parents=True, exist_ok=True)
-        old = self._handles.pop(node_id, None)
-        if old is not None:
-            self._sync_handle(node_id, old)
-            old.close()
         self._handles[node_id] = open(
-            node_dir / f"seg-{start_seq:012d}.log", "a", encoding="utf-8"
+            node_dir / f"seg-{self.sequence(node_id):012d}.log",
+            "a",
+            encoding="utf-8",
         )
+        self._active_lines[node_id] = 0
 
     def _persist_register(self, node_id: int) -> None:
         self._open_segment(node_id)
@@ -506,27 +428,17 @@ class _FileSegmentedLog(SegmentedLog):
         if self._fsync_every is not None:
             unsynced = self._unsynced.get(node_id, 0) + 1
             if unsynced >= self._fsync_every:
-                telemetry = self._telemetry
-                if telemetry is not None and telemetry.enabled:
-                    start = time.perf_counter()
-                    os.fsync(handle.fileno())
-                    self._record_fsync(
-                        node_id, time.perf_counter() - start
-                    )
-                else:
-                    os.fsync(handle.fileno())
-                    self._record_fsync(node_id, None)
+                self._fsync(node_id, handle)
                 unsynced = 0
             self._unsynced[node_id] = unsynced
-
-    def _persist_roll(self, node_id: int) -> None:
-        self._open_segment(node_id)
+        if self._segment_events is not None:
+            lines = self._active_lines[node_id] + 1
+            self._active_lines[node_id] = lines
+            if lines >= self._segment_events:
+                self._open_segment(node_id)  # seal the full file, roll
 
     def _persist_fence(self, node_id: int) -> None:
-        handle = self._handles.pop(node_id, None)
-        self._unsynced.pop(node_id, None)  # files are about to be deleted
-        if handle is not None:
-            handle.close()
+        self._close_active(node_id, sync=False)
         node_dir = self._node_dir(node_id)
         # Delete oldest-first: a crash mid-loop then leaves a contiguous
         # *suffix* of the chain, which load() accepts and the checkpoint
@@ -536,55 +448,45 @@ class _FileSegmentedLog(SegmentedLog):
         self._open_segment(node_id)
 
     def _persist_drop(self, node_id: int) -> None:
-        handle = self._handles.pop(node_id, None)
-        self._unsynced.pop(node_id, None)
-        if handle is not None:
-            handle.close()
+        self._close_active(node_id, sync=False)
         shutil.rmtree(self._node_dir(node_id), ignore_errors=True)
 
     def load(self, node_id: int) -> None:
         """Rebuild the in-memory log for one node from its segment files.
 
-        Loaded events stay attributed to their on-disk segments; new
-        appends go to a fresh segment file, so the disk always holds the
-        full retained log.  Sequence bookkeeping is reconstructed from
-        the file names (start sequence) plus line counts.  Raises
-        :class:`~repro.errors.StateError` on a corrupt record.
+        The retained events are the files' lines in name order, and the
+        first file's name is their base sequence.  New appends go to a
+        fresh segment file, so the disk always holds the full retained
+        log.  Raises :class:`~repro.errors.StateError` on a corrupt
+        record or a gap between files.
         """
-        node_dir = self._node_dir(node_id)
-        segments: list[list[KeyedEvent]] = []
-        base_seq = 0
-        next_seq = 0
-        expected_start: int | None = None
-        for index, path in enumerate(sorted(node_dir.glob("seg-*.log"))):
+        events: list[KeyedEvent] = []
+        base_seq: int | None = None
+        for path in sorted(self._node_dir(node_id).glob("seg-*.log")):
             try:
                 start_seq = int(path.stem.split("-", 1)[1])
             except ValueError as exc:
                 raise StateError(
                     f"unrecognized WAL segment file {path.name!r}"
                 ) from exc
-            if expected_start is not None and start_seq != expected_start:
+            if base_seq is None:
+                base_seq = start_seq
+            elif start_seq != base_seq + len(events):
                 # A segment's successor must start where it ended; a gap
                 # means log records were lost (a deleted segment, or a
                 # predecessor that lost tail lines) and a count-based
                 # replay would silently misalign.
                 raise StateError(
                     f"WAL gap for node {node_id}: {path.name} starts at "
-                    f"sequence {start_seq}, expected {expected_start} "
-                    "(lost log records)"
+                    f"sequence {start_seq}, expected "
+                    f"{base_seq + len(events)} (lost log records)"
                 )
             lines = path.read_text(encoding="utf-8").splitlines()
-            if index == 0:
-                base_seq = start_seq
-            segments.append([decode_event(line) for line in lines])
-            next_seq = start_seq + len(lines)
-            expected_start = next_seq
-        self._segments[node_id] = segments if segments else [[]]
+            events.extend(decode_event(line) for line in lines)
+        base_seq = base_seq or 0
+        self._events[node_id] = events
         self._base_seq[node_id] = base_seq
-        self._next_seq[node_id] = next_seq
         self._byte_tally[node_id] = (base_seq, 0)
-        if segments:
-            self._segments[node_id].append([])  # fresh active segment
         self._open_segment(node_id)
 
     def storage_bytes(self) -> int:
@@ -595,10 +497,8 @@ class _FileSegmentedLog(SegmentedLog):
         )
 
     def close(self) -> None:
-        for node_id, handle in self._handles.items():
-            self._sync_handle(node_id, handle)
-            handle.close()
-        self._handles.clear()
+        for node_id in list(self._handles):
+            self._close_active(node_id, sync=True)
 
 
 # ----------------------------------------------------------------------
@@ -607,14 +507,14 @@ class _FileSegmentedLog(SegmentedLog):
 class CheckpointStore(abc.ABC):
     """Latest-checkpoint-per-node storage plus the cluster manifest.
 
-    A store owns a paired :class:`WriteAheadLog` (:attr:`wal`): the two
+    A store owns a paired :class:`SegmentedLog` (:attr:`wal`): the two
     together are the whole durability contract — recovery of any node is
     ``latest(node_id)`` + ``wal.replay(node_id)``, and nothing else.
     """
 
     @property
     @abc.abstractmethod
-    def wal(self) -> WriteAheadLog:
+    def wal(self) -> SegmentedLog:
         """The write-ahead log paired with this store."""
 
     @abc.abstractmethod
@@ -840,6 +740,16 @@ class FileStore(CheckpointStore):
     def _checkpoint_path(self, node_id: int) -> pathlib.Path:
         return self._checkpoint_dir / f"node-{node_id}.ckpt"
 
+    def _reopen_wal(
+        self, segment_events: int | None, fsync_every: int | None
+    ) -> None:
+        """Close the WAL and open a fresh one over the same directory."""
+        self._wal.close()
+        self._wal = _FileSegmentedLog(
+            self._wal_dir, segment_events, fsync_every
+        )
+        self._wal.attach_telemetry(getattr(self, "_telemetry", None))
+
     def initialize(self) -> None:
         """Start a fresh cluster in the directory.
 
@@ -854,7 +764,7 @@ class FileStore(CheckpointStore):
                 "recover it with recover_cluster(), choose a fresh "
                 "directory, or pass overwrite=True to discard it"
             )
-        self._wal.close()
+        self._reopen_wal(self._wal.segment_events, self._wal_fsync_every)
         shutil.rmtree(self._checkpoint_dir, ignore_errors=True)
         shutil.rmtree(self._wal_dir, ignore_errors=True)
         self._dir.mkdir(parents=True, exist_ok=True)
@@ -862,10 +772,6 @@ class FileStore(CheckpointStore):
         self._journal_path.unlink(missing_ok=True)
         self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self._wal_dir.mkdir(parents=True, exist_ok=True)
-        self._wal = _FileSegmentedLog(
-            self._wal_dir, self._wal.segment_events, self._wal_fsync_every
-        )
-        self._wal.attach_telemetry(getattr(self, "_telemetry", None))
         self._lines = {}
         self._manifest = None
 
@@ -893,13 +799,10 @@ class FileStore(CheckpointStore):
             )
         manifest = dict(body)
         config_echo = manifest.get("config", {})
-        segment_events = config_echo.get("wal_segment_events")
-        fsync_every = config_echo.get("wal_fsync_every")
-        self._wal.close()
-        self._wal = _FileSegmentedLog(
-            self._wal_dir, segment_events, fsync_every
+        self._reopen_wal(
+            config_echo.get("wal_segment_events"),
+            config_echo.get("wal_fsync_every"),
         )
-        self._wal.attach_telemetry(getattr(self, "_telemetry", None))
         try:
             node_ids = [
                 int(node) for node in manifest["topology"]["nodes"]
