@@ -3,7 +3,7 @@
 # considers "green", in the order CI runs it.
 #
 #   scripts/run_checks.sh            # full check suite
-#   scripts/run_checks.sh --no-bench # skip the bench + system smokes (4-7)
+#   scripts/run_checks.sh --no-bench # skip the bench + system smokes (5-8)
 #   scripts/run_checks.sh --no-cov   # skip the coverage report + floor
 #
 # Steps:
@@ -11,17 +11,21 @@
 #      the whole-cluster scenario bars in tests/cluster/test_scenarios.py)
 #   2. explicit doctest pass           (same tests, surfaced separately)
 #   3. docs link check                 (scripts/check_docs_links.py)
-#   4. traced benchmark runs           (perfbench/run.py --trace 1 over
+#   4. resource-leak gate              (test_storage, test_query and
+#      test_httpd under python -X dev with ResourceWarning and
+#      unraisable-exception warnings as errors; test_serve.py stays
+#      out: fleet_up drops the Popen handles of running daemons)
+#   5. traced benchmark runs           (perfbench/run.py --trace 1 over
 #      the four workloads: every ledger wrapper still binds by name,
 #      and each run must report "correct": true)
-#   5. process-plan smoke              (a crash-bearing stream through
+#   6. process-plan smoke              (a crash-bearing stream through
 #      per-node worker processes plus a serve up/status/down round
 #      trip, each under a hard 120 s timeout)
-#   6. serving smoke                   (--serve-http over a real run:
+#   7. serving smoke                   (--serve-http over a real run:
 #      all four JSON endpoints fetched and validated as strict JSON,
 #      under a hard timeout)
-#   7. telemetry sample                (metrics snapshot + trace log)
-#   8. cluster coverage report + floor (scripts/run_coverage.py —
+#   8. telemetry sample                (metrics snapshot + trace log)
+#   9. cluster coverage report + floor (scripts/run_coverage.py —
 #      pytest-cov when installed, stdlib tracer otherwise; fails below
 #      the floor on src/repro/cluster/)
 set -euo pipefail
@@ -49,6 +53,15 @@ python -m pytest tests/test_doctests.py -q
 echo
 echo "== docs link check =="
 python scripts/check_docs_links.py
+
+echo
+echo "== resource-leak gate (dev mode, leak warnings are errors) =="
+python -X dev -m pytest -q \
+  -W error::ResourceWarning \
+  -W error::pytest.PytestUnraisableExceptionWarning \
+  tests/cluster/test_storage.py \
+  tests/cluster/test_query.py \
+  tests/cluster/test_httpd.py
 
 if [ "$run_bench" -eq 1 ]; then
   echo

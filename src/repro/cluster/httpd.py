@@ -69,6 +69,23 @@ def _bad_request(message: str) -> tuple[int, dict[str, Any]]:
     return 400, {"error": message}
 
 
+def _int_param(
+    query: dict[str, list[str]],
+    name: str,
+    default: int | None = None,
+    what: str = "an integer",
+) -> int | None:
+    """The last ``name`` query parameter as an int (``default`` when
+    absent); a non-integer is a ``ParameterError`` (HTTP 400)."""
+    raw = query.get(name, [None])[-1]
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ParameterError(f"{name} must be {what}, got {raw!r}") from None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One request; the reader and registry hang off the server."""
 
@@ -104,16 +121,7 @@ class _Handler(BaseHTTPRequestHandler):
         self, query: dict[str, list[str]]
     ) -> tuple[str | None, int | None]:
         consistency = query.get("consistency", [None])[-1]
-        replica_raw = query.get("replica", [None])[-1]
-        replica: int | None = None
-        if replica_raw is not None:
-            try:
-                replica = int(replica_raw)
-            except ValueError:
-                raise ParameterError(
-                    f"replica must be an integer node id, got "
-                    f"{replica_raw!r}"
-                ) from None
+        replica = _int_param(query, "replica", what="an integer node id")
         return consistency, replica
 
     def _count(self, endpoint: str, status: int) -> None:
@@ -196,13 +204,7 @@ class _Handler(BaseHTTPRequestHandler):
         self, path: str, query: dict[str, list[str]]
     ) -> int:
         consistency, replica = self._read_params(query)
-        k_raw = query.get("k", ["10"])[-1]
-        try:
-            k = int(k_raw)
-        except ValueError:
-            raise ParameterError(
-                f"k must be an integer, got {k_raw!r}"
-            ) from None
+        k = _int_param(query, "k", 10)
         answer = self.server.reader.top_k(k, consistency, replica)
         self._send_json(200, answer.to_payload())
         return 200
@@ -253,26 +255,10 @@ class _Handler(BaseHTTPRequestHandler):
             if keys_raw is not None
             else None
         )
-        limit_raw = query.get("limit", [None])[-1]
-        limit: int | None = None
-        if limit_raw is not None:
-            try:
-                limit = int(limit_raw)
-            except ValueError:
-                raise ParameterError(
-                    f"limit must be an integer, got {limit_raw!r}"
-                ) from None
-            if limit < 1:
-                raise ParameterError(
-                    f"limit must be >= 1, got {limit}"
-                )
-        poll_raw = query.get("poll_ms", ["200"])[-1]
-        try:
-            poll_s = max(int(poll_raw), 1) / 1000.0
-        except ValueError:
-            raise ParameterError(
-                f"poll_ms must be an integer, got {poll_raw!r}"
-            ) from None
+        limit = _int_param(query, "limit")
+        if limit is not None and limit < 1:
+            raise ParameterError(f"limit must be >= 1, got {limit}")
+        poll_s = max(_int_param(query, "poll_ms", 200), 1) / 1000.0
         subscription = self.server.reader.subscribe(
             keys, consistency, replica
         )
@@ -398,9 +384,11 @@ def main(argv: list[str] | None = None) -> int:
     """``python -m repro.cluster.httpd``: the fleet's query daemon.
 
     Launched by ``cluster serve query up`` (see
-    :func:`repro.cluster.serve.query_up`): binds the HTTP socket over a
-    :class:`~repro.cluster.serve.FleetReader`, then — only once bound,
-    the readiness convention — writes the pidfile and the ``--record``
+    :func:`repro.cluster.serve.query_up`): binds the HTTP socket over
+    a reader built by :meth:`ClusterReader.from_fleet
+    <repro.cluster.query.ClusterReader.from_fleet>` (answering from the
+    fleet's workers over their sockets), then — only once bound, the
+    readiness convention — writes the pidfile and the ``--record``
     JSON (which carries the actually-chosen port), and serves until
     ``SIGTERM``/``SIGINT``, unlinking both files on the way out.
     """
@@ -409,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     import os
     import signal
 
-    from repro.cluster.serve import FleetReader
+    from repro.cluster.query import ClusterReader
 
     parser = argparse.ArgumentParser(
         prog="repro.cluster.httpd",
@@ -440,7 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    reader = FleetReader(args.fleet_dir, timeout=args.worker_timeout)
+    reader = ClusterReader.from_fleet(
+        args.fleet_dir, timeout=args.worker_timeout
+    )
     server = ClusterHTTPServer(reader, host=args.host, port=args.port)
 
     def _exit(signum: int, frame: Any) -> None:

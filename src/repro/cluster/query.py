@@ -1,9 +1,9 @@
 """The cluster's one blessed read surface: ``ClusterReader``.
 
-Reads used to be scattered across ad-hoc accessors — the aggregator's
-``global_view()``, raw digest lookups, bench dict shaping.  This module
-unifies them behind one versioned query API that both the in-process
-callers and the HTTP frontend (:mod:`repro.cluster.httpd`) share:
+One versioned query API, shared by in-process callers and the HTTP
+frontend (:mod:`repro.cluster.httpd`), over one of two sources: a live
+simulation (:meth:`ClusterReader.from_simulation`, described below) or
+a ``cluster serve`` fleet over the wire (:meth:`ClusterReader.from_fleet`):
 
 * :meth:`ClusterReader.get` — one key's count;
 * :meth:`ClusterReader.top_k` — the k heaviest keys;
@@ -55,7 +55,7 @@ bit-identical to an unserved run.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.cluster.entities import (
     READ_CONSISTENCY,
@@ -67,7 +67,9 @@ from repro.cluster.entities import (
 from repro.errors import ParameterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.aggregator import GlobalView, MergeTreeAggregator
+    from pathlib import Path
+
+    from repro.cluster.aggregator import GlobalView
     from repro.cluster.gossip import GossipNetwork
     from repro.cluster.node import IngestNode
     from repro.cluster.simulation import ClusterSimulation
@@ -75,35 +77,118 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["READ_CONSISTENCY", "ClusterReader", "Subscription"]
 
 
+class _SimulationSource:
+    """In-process reads over a live simulation (topology tracked)."""
+
+    def __init__(self, simulation: "ClusterSimulation") -> None:
+        config = simulation.config
+        self._simulation = simulation
+        self._aggregator = simulation.aggregator
+        self._gossip: "GossipNetwork | None" = (
+            simulation.gossip if config.aggregation == "gossip" else None
+        )
+        self._fanout = config.fanout
+        self._gossip_every = config.gossip_every
+        self.default_consistency = (
+            "replica" if self._gossip is not None else "consistent"
+        )
+
+    @property
+    def replicas(self) -> tuple[int, ...]:
+        if self._gossip is None:
+            return ()
+        return self._gossip.node_ids
+
+    def resolve_replica(
+        self, consistency: str, replica: int | None
+    ) -> int | None:
+        if consistency != "replica":
+            return None
+        if self._gossip is None:
+            raise ParameterError(
+                "replica reads need a gossip network "
+                "(aggregation='gossip'); this cluster only supports "
+                "consistency='consistent'"
+            )
+        if replica is None:
+            participants = self._gossip.node_ids
+            if not participants:
+                raise ParameterError(
+                    "gossip network has no participants to read from"
+                )
+            replica = participants[0]
+        self._gossip.digest(replica)  # loud on unknown replica ids
+        return replica
+
+    def _live_nodes(self) -> dict[int, "IngestNode"]:
+        return {node.node_id: node for node in self._simulation.nodes}
+
+    def stamp(self, consistency: str, replica: int | None) -> Any:
+        """The digest's version/epoch stamp for a replica read; else one
+        that moves with any node's traffic, flushes, windows or epoch."""
+        if consistency == "replica":
+            return self._gossip.read_stamp(replica)
+        return (
+            self._aggregator.epoch,
+            tuple(
+                (
+                    node_id,
+                    node.events_ingested,
+                    node.pending,
+                    len(node.bank),
+                )
+                for node_id, node in sorted(self._live_nodes().items())
+            ),
+        )
+
+    def fold(
+        self, consistency: str, replica: int | None
+    ) -> tuple["GlobalView", Any]:
+        if consistency == "replica":
+            view = self._gossip.node_view(replica, fanout=self._fanout)
+        else:
+            view = self._aggregator._fold_view()
+        # Stamp *after* the fold so the flushed (pending=0) state is
+        # what the cache validates against — the next idle read hits.
+        return view, self.stamp(consistency, replica)
+
+    def staleness(
+        self, consistency: str, replica: int | None
+    ) -> StalenessInfo:
+        if consistency == "replica":
+            lag = self._gossip.digest_staleness(
+                replica, self._live_nodes()
+            )
+            stamp = self.stamp(consistency, replica)
+            epoch = max((entry[2] for entry in stamp), default=0)
+        else:
+            lag, epoch = 0, self._aggregator.epoch
+        return StalenessInfo(
+            consistency=consistency,
+            replica=replica,
+            lag_events=lag,
+            bound_events=self._gossip_every,
+            epoch=epoch,
+        )
+
+
 class ClusterReader:
     """Unified, cached, consistency-aware reads over one cluster.
 
+    Build one with :meth:`from_simulation` (in-process) or
+    :meth:`from_fleet` (a live ``cluster serve`` fleet, over the wire).
+
     Parameters
     ----------
-    aggregator:
-        The cluster's :class:`~repro.cluster.aggregator.
-        MergeTreeAggregator` (the consistent path's fold).
-    gossip:
-        The :class:`~repro.cluster.gossip.GossipNetwork`, when the
-        cluster runs ``aggregation="gossip"`` — required for replica
-        reads, absent for tree-only clusters.
-    nodes:
-        Live ``node id → IngestNode`` mapping used for staleness
-        accounting; defaults to the aggregator's current nodes (pass a
-        callable-free mapping only for static test fixtures — prefer
-        :meth:`from_simulation`, which tracks topology changes).
+    source:
+        Where reads come from: the in-process or the wire source (each
+        provides ``replicas``, ``default_consistency``, and
+        ``resolve_replica`` / ``stamp`` / ``fold`` → ``(view, stamp)``
+        / ``staleness`` of ``(consistency, replica)``).
     consistency:
-        Reader-level default for queries that do not pass their own:
-        ``"replica"`` when a gossip network is attached, else
-        ``"consistent"``.
-    replica:
-        Default replica node id for replica reads (smallest gossip
-        participant when unset).
-    fanout:
-        Merge fanout for replica folds (the cluster's ``config.fanout``).
-    gossip_every:
-        The configured gossip cadence, echoed into every staleness
-        stamp as ``bound_events``.
+        Reader-level default for queries that do not pass their own;
+        the source's default (``"replica"`` when replicas exist) when
+        unset.
     registry:
         Optional :class:`~repro.obs.MetricsRegistry`; the reader
         publishes ``queries_total`` / ``query_cache_hits_total`` /
@@ -112,29 +197,15 @@ class ClusterReader:
 
     def __init__(
         self,
-        aggregator: "MergeTreeAggregator",
+        source: Any,
         *,
-        gossip: "GossipNetwork | None" = None,
-        nodes: Mapping[int, "IngestNode"] | None = None,
         consistency: str | None = None,
-        replica: int | None = None,
-        fanout: int = 2,
-        gossip_every: int | None = None,
         registry: Any = None,
     ) -> None:
-        if consistency is not None and consistency not in READ_CONSISTENCY:
-            known = ", ".join(READ_CONSISTENCY)
-            raise ParameterError(
-                f"unknown consistency {consistency!r}; known: {known}"
-            )
-        self._aggregator = aggregator
-        self._gossip = gossip
-        self._nodes = dict(nodes) if nodes is not None else None
-        self._simulation: "ClusterSimulation | None" = None
-        self._consistency = consistency
-        self._replica = replica
-        self._fanout = fanout
-        self._gossip_every = gossip_every
+        self._source = source
+        self._consistency = self._resolve_consistency(
+            consistency or source.default_consistency
+        )
         self._registry = registry
         #: ``(consistency, replica) -> (stamp, GlobalView)``
         self._cache: dict[tuple[str, int | None], tuple[Any, Any]] = {}
@@ -147,79 +218,45 @@ class ClusterReader:
         simulation: "ClusterSimulation",
         *,
         consistency: str | None = None,
-        replica: int | None = None,
     ) -> "ClusterReader":
         """A reader over a live simulation (topology changes tracked)."""
-        config = simulation.config
-        reader = cls(
-            simulation.aggregator,
-            gossip=(
-                simulation.gossip
-                if config.aggregation == "gossip"
-                else None
-            ),
+        return cls(
+            _SimulationSource(simulation),
             consistency=consistency,
-            replica=replica,
-            fanout=config.fanout,
-            gossip_every=config.gossip_every,
             registry=simulation.telemetry.registry,
         )
-        reader._simulation = simulation
-        return reader
+
+    @classmethod
+    def from_fleet(
+        cls, root: str | Path, *, timeout: float = 5.0
+    ) -> "ClusterReader":
+        """A reader over the ``cluster serve`` fleet under ``root``, over
+        the wire protocol; ``timeout`` bounds each socket request."""
+        from repro.cluster.serve import _FleetSource
+        from repro.obs import MetricsRegistry
+
+        return cls(
+            _FleetSource(root, timeout), registry=MetricsRegistry()
+        )
 
     # ------------------------------------------------------------------
     # resolution helpers
     # ------------------------------------------------------------------
     @property
     def replicas(self) -> tuple[int, ...]:
-        """Node ids replica reads may target (empty without gossip)."""
-        if self._gossip is None:
-            return ()
-        return self._gossip.node_ids
+        """The source's node ids: gossip participants in-process
+        (empty without gossip), the workers over a fleet."""
+        return self._source.replicas
 
     def _resolve_consistency(self, consistency: str | None) -> str:
         if consistency is None:
             consistency = self._consistency
-        if consistency is None:
-            consistency = (
-                "replica" if self._gossip is not None else "consistent"
-            )
         if consistency not in READ_CONSISTENCY:
             known = ", ".join(READ_CONSISTENCY)
             raise ParameterError(
                 f"unknown consistency {consistency!r}; known: {known}"
             )
         return consistency
-
-    def _resolve_replica(self, replica: int | None) -> int:
-        if self._gossip is None:
-            raise ParameterError(
-                "replica reads need a gossip network "
-                "(aggregation='gossip'); this cluster only supports "
-                "consistency='consistent'"
-            )
-        if replica is None:
-            replica = self._replica
-        if replica is None:
-            participants = self._gossip.node_ids
-            if not participants:
-                raise ParameterError(
-                    "gossip network has no participants to read from"
-                )
-            replica = participants[0]
-        self._gossip.digest(replica)  # loud on unknown replica ids
-        return replica
-
-    def _live_nodes(self) -> dict[int, "IngestNode"]:
-        if self._simulation is not None:
-            return {
-                node.node_id: node for node in self._simulation.nodes
-            }
-        if self._nodes is not None:
-            return dict(self._nodes)
-        return {
-            node.node_id: node for node in self._aggregator.nodes
-        }
 
     def _count(self, endpoint: str, consistency: str) -> None:
         if self._registry is not None:
@@ -232,24 +269,6 @@ class ClusterReader:
     # ------------------------------------------------------------------
     # the cached fold
     # ------------------------------------------------------------------
-    def _consistent_stamp(self) -> tuple[Any, ...]:
-        """Validity stamp for the consistent path: changes whenever any
-        node accepted traffic, flushed differently, reset a window, or
-        the topology epoch moved."""
-        nodes = self._live_nodes()
-        return (
-            self._aggregator.epoch,
-            tuple(
-                (
-                    node_id,
-                    node.events_ingested,
-                    node.pending,
-                    len(node.bank),
-                )
-                for node_id, node in sorted(nodes.items())
-            ),
-        )
-
     def raw_view(
         self,
         consistency: str | None = None,
@@ -258,28 +277,16 @@ class ClusterReader:
         """The folded ``GlobalView`` itself (cached; for bit-identity
         comparisons and entity-free callers)."""
         consistency = self._resolve_consistency(consistency)
-        if consistency == "replica":
-            replica = self._resolve_replica(replica)
-            assert self._gossip is not None
-            view_key = ("replica", replica)
-            stamp = self._gossip.read_stamp(replica)
-            cached = self._cache.get(view_key)
-            if cached is not None and cached[0] == stamp:
-                self._note_cache(hit=True)
-                return cached[1]
-            view = self._gossip.node_view(replica, fanout=self._fanout)
-            self._cache[view_key] = (stamp, view)
-            self._note_cache(hit=False)
-            return view
-        view_key = ("consistent", None)
+        replica = self._source.resolve_replica(consistency, replica)
+        view_key = (consistency, replica)
         cached = self._cache.get(view_key)
-        if cached is not None and cached[0] == self._consistent_stamp():
+        if cached is not None and cached[0] == self._source.stamp(
+            consistency, replica
+        ):
             self._note_cache(hit=True)
             return cached[1]
-        view = self._aggregator._fold_view()
-        # Stamp *after* the fold so the flushed (pending=0) state is
-        # what the cache validates against — the next idle read hits.
-        self._cache[view_key] = (self._consistent_stamp(), view)
+        view, stamp = self._source.fold(consistency, replica)
+        self._cache[view_key] = (stamp, view)
         self._note_cache(hit=False)
         return view
 
@@ -309,28 +316,8 @@ class ClusterReader:
     ) -> StalenessInfo:
         """The stamp a query with these parameters would carry."""
         consistency = self._resolve_consistency(consistency)
-        if consistency == "replica":
-            replica = self._resolve_replica(replica)
-            assert self._gossip is not None
-            stamp = self._gossip.read_stamp(replica)
-            return StalenessInfo(
-                consistency="replica",
-                replica=replica,
-                lag_events=self._gossip.digest_staleness(
-                    replica, self._live_nodes()
-                ),
-                bound_events=self._gossip_every,
-                epoch=max(
-                    (entry[2] for entry in stamp), default=0
-                ),
-            )
-        return StalenessInfo(
-            consistency="consistent",
-            replica=None,
-            lag_events=0,
-            bound_events=self._gossip_every,
-            epoch=self._aggregator.epoch,
-        )
+        replica = self._source.resolve_replica(consistency, replica)
+        return self._source.staleness(consistency, replica)
 
     # ------------------------------------------------------------------
     # the query API

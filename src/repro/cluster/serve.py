@@ -32,15 +32,17 @@ Lifecycle contract:
   and finally ``SIGKILL``, and always removes ``fleet.json`` so the
   next ``up`` can proceed.  Logs are kept.
 
-PR 9 adds the fleet's *serving* face: :class:`FleetReader` answers the
-:class:`~repro.cluster.query.ClusterReader` query API against the live
-workers over the wire protocol (``snapshot_request`` with
-``flush=false`` — the documented pure read — for bounded-staleness
-replica answers; ``flush=true``, the barrier pull, for consistent
-ones), and ``cluster serve query up | status | down`` manages an HTTP
-daemon (``python -m repro.cluster.httpd``) exposing it, recorded as
-``query.json`` / ``query.pid`` / ``query.log`` next to the fleet with
-the same record-after-bind readiness convention.
+The fleet's *serving* face is
+:meth:`ClusterReader.from_fleet <repro.cluster.query.ClusterReader.
+from_fleet>`: the one query API, read from the live workers over the
+wire protocol (``snapshot_request`` with ``flush=false`` — the
+documented pure read — for bounded-staleness replica answers;
+``flush=true``, the barrier pull, for consistent ones).  ``cluster
+serve query up | status | down`` manages an HTTP daemon (``python -m
+repro.cluster.httpd``) exposing it, recorded as ``query.json`` /
+``query.pid`` / ``query.log`` next to the fleet.
+Both kinds of daemon are started by one launcher (:func:`_spawn`) and
+signalled down by one ``SIGTERM`` → ``SIGKILL`` escalation.
 """
 
 from __future__ import annotations
@@ -52,22 +54,20 @@ import socket
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator, NamedTuple
 
 from repro.cluster.aggregator import FoldMemo, GlobalView, fold_banks
 from repro.cluster.checkpoint import BankCheckpoint
 from repro.cluster.entities import StalenessInfo
 from repro.cluster.node import CounterTemplate
 from repro.cluster.pipeline import worker_environment
-from repro.cluster.query import ClusterReader
 from repro.cluster.simulation import node_seed
 from repro.cluster.transport import FrameStream
 from repro.errors import ParameterError, StateError
-from repro.obs import MetricsRegistry
 
 __all__ = [
-    "FleetReader",
     "fleet_down",
     "fleet_paths",
     "fleet_ps",
@@ -127,17 +127,89 @@ def _read_pid(pidfile: Path) -> int | None:
     return int(text) if text.isdigit() else None
 
 
-def load_fleet(root: str | Path) -> dict[str, Any]:
-    """The ``fleet.json`` record of the fleet launched under ``root``."""
-    path = fleet_paths(root) / _FLEET_FILE
+def _load_record(path: Path, what: str, command: str) -> dict[str, Any]:
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise StateError(
-            f"no fleet is recorded under {path.parent} — "
-            "run 'cluster serve up' first"
+            f"no {what} is recorded under {path.parent} — "
+            f"run '{command}' first"
         )
     return json.loads(text)
+
+
+def load_fleet(root: str | Path) -> dict[str, Any]:
+    """The ``fleet.json`` record of the fleet launched under ``root``."""
+    return _load_record(
+        fleet_paths(root) / _FLEET_FILE, "fleet", "cluster serve up"
+    )
+
+
+class _Daemon(NamedTuple):
+    """``python -m <argv>``, logging to ``log``, ready once ``marker``
+    exists; ``marker`` and ``leftovers`` are cleared on launch and failure."""
+
+    name: str
+    argv: list[str]
+    log: Path
+    marker: Path
+    leftovers: tuple[Path, ...]
+
+
+def _spawn(
+    daemons: list[_Daemon], timeout: float
+) -> list[subprocess.Popen[bytes]]:
+    """Start every daemon in its own session and wait until all are
+    ready; if one is not, all are killed and the launch fails whole."""
+    launched: list[subprocess.Popen[bytes]] = []
+    try:
+        for daemon in daemons:
+            for stale in (daemon.marker, *daemon.leftovers):
+                stale.unlink(missing_ok=True)
+            with open(daemon.log, "ab") as log:
+                launched.append(
+                    subprocess.Popen(
+                        [sys.executable, "-m", *daemon.argv],
+                        stdin=subprocess.DEVNULL,
+                        stdout=log,
+                        stderr=log,
+                        env=worker_environment(),
+                        start_new_session=True,
+                    )
+                )
+        _wait_ready(daemons, launched, timeout)
+    except BaseException:
+        for process in launched:
+            process.kill()
+            process.wait()
+        for daemon in daemons:
+            for leftover in (daemon.marker, *daemon.leftovers):
+                leftover.unlink(missing_ok=True)
+        raise
+    return launched
+
+
+def _wait_ready(
+    daemons: list[_Daemon],
+    processes: list[subprocess.Popen[bytes]],
+    timeout: float,
+) -> None:
+    """Wait for every marker; fail when a daemon exits or on timeout."""
+    deadline = time.monotonic() + timeout
+    for daemon, process in zip(daemons, processes):
+        while not daemon.marker.exists():
+            if process.poll() is not None:
+                raise StateError(
+                    f"{daemon.name} exited with status "
+                    f"{process.returncode} before becoming ready — see "
+                    f"{daemon.log}"
+                )
+            if time.monotonic() > deadline:
+                raise StateError(
+                    f"{daemon.name} did not become ready within "
+                    f"{timeout:g}s — see {daemon.log}"
+                )
+            time.sleep(_POLL_S)
 
 
 def fleet_up(
@@ -152,9 +224,9 @@ def fleet_up(
     """Launch one worker daemon per node; returns the worker table.
 
     Blocks until every worker's pidfile appears (socket bound and
-    accepting) or ``timeout`` seconds pass — on timeout the stragglers
-    are killed and the launch fails whole, pointing at the dead
-    worker's log.
+    accepting).  When a worker exits first, or ``timeout`` seconds
+    pass, every worker is killed and the launch fails whole, pointing
+    at the failed worker's log.
     """
     if n_nodes < 1:
         raise ParameterError(f"n_nodes must be >= 1, got {n_nodes}")
@@ -165,73 +237,45 @@ def fleet_up(
             f"a fleet is already recorded in {base / _FLEET_FILE} — "
             "run 'cluster serve down' before launching another"
         )
-    template_json = json.dumps(
-        template.to_dict(), sort_keys=True, allow_nan=False
-    )
+    daemons = []
     workers: list[dict[str, Any]] = []
-    launched: list[subprocess.Popen[bytes]] = []
-    try:
-        for node_id in range(n_nodes):
-            sock_path, pid_path, log_path = _worker_paths(base, node_id)
-            for stale in (sock_path, pid_path):
-                stale.unlink(missing_ok=True)
-            command = [
-                sys.executable,
-                "-m",
-                "repro.cluster.worker",
-                "--listen",
-                str(sock_path),
-                "--pidfile",
-                str(pid_path),
-                "--node-id",
-                str(node_id),
-                "--template-json",
-                template_json,
-                "--seed",
-                str(node_seed(seed, node_id)),
-                "--buffer-limit",
-                str(buffer_limit),
-            ]
-            if not track_truth:
-                command.append("--no-track-truth")
-            with open(log_path, "ab") as log:
-                process = subprocess.Popen(
-                    command,
-                    stdin=subprocess.DEVNULL,
-                    stdout=log,
-                    stderr=log,
-                    env=worker_environment(),
-                    start_new_session=True,
-                )
-            launched.append(process)
-            workers.append(
-                {
-                    "node": node_id,
-                    "pid": process.pid,
-                    "socket": str(sock_path),
-                    "pidfile": str(pid_path),
-                    "log": str(log_path),
-                }
+    for node_id in range(n_nodes):
+        sock_path, pid_path, log_path = _worker_paths(base, node_id)
+        # The body of the ``init`` frame a pipe worker receives.
+        init = {
+            "node_id": node_id,
+            "template": template.to_dict(),
+            "seed": node_seed(seed, node_id),
+            "buffer_limit": buffer_limit,
+            "track_truth": track_truth,
+        }
+        daemons.append(
+            _Daemon(
+                f"worker for node {node_id}",
+                [
+                    "repro.cluster.worker",
+                    "--listen",
+                    str(sock_path),
+                    "--pidfile",
+                    str(pid_path),
+                    "--init-json",
+                    json.dumps(init, sort_keys=True, allow_nan=False),
+                ],
+                log_path,
+                pid_path,
+                (sock_path,),
             )
-        deadline = time.monotonic() + timeout
-        for record in workers:
-            pid_path = Path(record["pidfile"])
-            while not pid_path.exists():
-                if time.monotonic() > deadline:
-                    raise StateError(
-                        f"worker for node {record['node']} did not "
-                        f"become ready within {timeout:g}s — see "
-                        f"{record['log']}"
-                    )
-                time.sleep(_POLL_S)
-    except BaseException:
-        for process in launched:
-            process.kill()
-            process.wait()
-        for record in workers:
-            Path(record["pidfile"]).unlink(missing_ok=True)
-            Path(record["socket"]).unlink(missing_ok=True)
-        raise
+        )
+        workers.append(
+            {
+                "node": node_id,
+                "socket": str(sock_path),
+                "pidfile": str(pid_path),
+                "log": str(log_path),
+            }
+        )
+    for record, process in zip(workers, _spawn(daemons, timeout)):
+        record["pid"] = process.pid
     payload = {
         "version": 1,
         "seed": seed,
@@ -271,7 +315,11 @@ def fleet_ps(root: str | Path) -> list[dict[str, Any]]:
     return rows
 
 
-def _connect(record: dict[str, Any], timeout: float) -> FrameStream:
+@contextmanager
+def _connect(
+    record: dict[str, Any], timeout: float
+) -> Iterator[FrameStream]:
+    """A frame stream over one worker's socket, closed on exit."""
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.settimeout(timeout)
     try:
@@ -281,7 +329,10 @@ def _connect(record: dict[str, Any], timeout: float) -> FrameStream:
         raise
     stream = FrameStream.from_socket(sock)
     sock.close()  # the stream's file objects keep the fd alive
-    return stream
+    try:
+        yield stream
+    finally:
+        stream.close()
 
 
 def fleet_status(
@@ -293,13 +344,8 @@ def fleet_status(
     for record in fleet["workers"]:
         row: dict[str, Any] = {"node": record["node"]}
         try:
-            stream = _connect(record, timeout)
-        except OSError as exc:
-            row.update(state="unreachable", error=str(exc))
-            rows.append(row)
-            continue
-        try:
-            pong = stream.request("ping", "pong")
+            with _connect(record, timeout) as stream:
+                pong = stream.request("ping", "pong")
         except (StateError, OSError) as exc:
             row.update(state="unreachable", error=str(exc))
         else:
@@ -310,8 +356,6 @@ def fleet_status(
                 pending=pong["pending"],
                 events_ingested=pong["events_ingested"],
             )
-        finally:
-            stream.close()
         rows.append(row)
     return rows
 
@@ -349,17 +393,19 @@ def _stop_worker(
     """Protocol shutdown → SIGTERM → SIGKILL; returns how it ended."""
     share = max(timeout / 2, _POLL_S)
     try:
-        stream = _connect(record, share)
-        try:
+        with _connect(record, share) as stream:
             stream.send("shutdown")
             stream.expect("bye")
-        finally:
-            stream.close()
     except (StateError, OSError):
         pass
     else:
         if _wait_dead(pid, share):
             return "stopped"
+    return _signal_down(pid, share)
+
+
+def _signal_down(pid: int, share: float) -> str:
+    """SIGTERM, then SIGKILL, ``share`` seconds each; how it ended."""
     for sig, outcome in (
         (signal.SIGTERM, "terminated"),
         (signal.SIGKILL, "killed"),
@@ -383,14 +429,14 @@ def _wait_dead(pid: int, timeout: float) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the fleet's serving face: query API over live workers
+# the fleet's serving face: the reader's wire source
 # ----------------------------------------------------------------------
-class FleetReader(ClusterReader):
-    """The :class:`~repro.cluster.query.ClusterReader` API over a fleet.
+class _FleetSource:
+    """:class:`~repro.cluster.query.ClusterReader` reads over a fleet.
 
-    Same queries (``get`` / ``top_k`` / ``view`` / ``subscribe``), same
-    entities, same consistency knob — answered over the wire protocol
-    against the live worker daemons instead of in-process objects:
+    Built by :meth:`ClusterReader.from_fleet
+    <repro.cluster.query.ClusterReader.from_fleet>`; answers over the
+    wire protocol against the live worker daemons:
 
     ``"replica"``
         ``snapshot_request`` with ``flush=false`` per worker — the
@@ -409,40 +455,18 @@ class FleetReader(ClusterReader):
     so repeated reads against an idle fleet pull snapshots once.
     """
 
-    def __init__(self, root: str | Path, timeout: float = 5.0) -> None:
-        fleet = load_fleet(root)
-        self._fleet = fleet
-        self._timeout = timeout
-        # No aggregator/gossip behind this reader — the wire protocol
-        # is the backend — so ClusterReader.__init__ is skipped and the
-        # shared cache/default fields are set directly.
-        self._gossip = None
-        self._nodes = None
-        self._simulation = None
-        self._consistency = None
-        self._replica = None
-        self._fanout = 2
-        self._gossip_every = None
-        self._registry = MetricsRegistry()
-        self._cache = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
+    default_consistency = "replica"
 
-    @property
-    def replicas(self) -> tuple[int, ...]:
-        """The fleet's worker node ids."""
-        return tuple(
+    def __init__(self, root: str | Path, timeout: float) -> None:
+        self._fleet = load_fleet(root)
+        self._timeout = timeout
+        self.replicas = tuple(
             record["node"] for record in self._fleet["workers"]
         )
 
-    def _resolve_consistency(self, consistency: str | None) -> str:
-        if consistency is None:
-            consistency = self._consistency
-        if consistency is None:
-            consistency = "replica"
-        return super()._resolve_consistency(consistency)
-
-    def _refuse_replica(self, replica: int | None) -> None:
+    def resolve_replica(
+        self, consistency: str, replica: int | None
+    ) -> None:
         if replica is not None:
             raise ParameterError(
                 "fleet reads fold every worker (workers shard the "
@@ -450,90 +474,66 @@ class FleetReader(ClusterReader):
                 "replica= selection applies to gossip clusters"
             )
 
+    @staticmethod
     def _stamp_of(
-        self, pings: list[dict[str, Any]]
+        pings: list[dict[str, Any]]
     ) -> tuple[tuple[int, int, int], ...]:
         return tuple(
             (pong["node"], pong["events_ingested"], pong["pending"])
             for pong in sorted(pings, key=lambda p: p["node"])
         )
 
-    def _ping_sweep(self) -> list[dict[str, Any]]:
+    def stamp(
+        self, consistency: str, replica: None
+    ) -> tuple[tuple[int, int, int], ...]:
+        """``(node, events_ingested, pending)`` per worker, by ``ping``."""
         pings = []
         for record in self._fleet["workers"]:
-            stream = _connect(record, self._timeout)
-            try:
+            with _connect(record, self._timeout) as stream:
                 pings.append(stream.request("ping", "pong"))
-            finally:
-                stream.close()
-        return pings
+        return self._stamp_of(pings)
 
-    def _pull(
-        self, flush: bool
-    ) -> tuple[list[Any], list[dict[str, Any]]]:
-        """Snapshot every worker (optionally flushing), then ping it on
-        the same connection so the stamp reflects the pulled state."""
+    def fold(
+        self, consistency: str, replica: None
+    ) -> tuple[GlobalView, Any]:
+        """Snapshot every worker (flushing first on the consistent
+        path), then ping it on the same connection so the stamp
+        reflects the pulled state."""
         banks = []
         pings = []
         for record in self._fleet["workers"]:
-            stream = _connect(record, self._timeout)
-            try:
+            with _connect(record, self._timeout) as stream:
                 reply = stream.request(
-                    "snapshot_request", "snapshot_reply", flush=flush
+                    "snapshot_request",
+                    "snapshot_reply",
+                    flush=consistency == "consistent",
                 )
                 pings.append(stream.request("ping", "pong"))
-            finally:
-                stream.close()
             banks.append(BankCheckpoint.decode(reply["line"]).restore())
-        return banks, pings
-
-    def _fold(self, banks: list[Any]) -> GlobalView:
         # Pulled banks are fresh objects with fresh stamps, so a memo
         # could never hit: each fold gets an empty one.
-        return fold_banks(
+        view = fold_banks(
             [(bank.counters, bank.stamps, bank.truths) for bank in banks],
             2,
             0,
             FoldMemo(),
         )
-
-    def raw_view(
-        self,
-        consistency: str | None = None,
-        replica: int | None = None,
-    ) -> GlobalView:
-        consistency = self._resolve_consistency(consistency)
-        self._refuse_replica(replica)
-        view_key = (consistency, None)
-        stamp = self._stamp_of(self._ping_sweep())
-        cached = self._cache.get(view_key)
-        if cached is not None and cached[0] == stamp:
-            self._note_cache(hit=True)
-            return cached[1]
-        banks, pings = self._pull(flush=consistency == "consistent")
-        view = self._fold(banks)
-        self._cache[view_key] = (self._stamp_of(pings), view)
-        self._note_cache(hit=False)
-        return view
+        return view, self._stamp_of(pings)
 
     def staleness(
-        self,
-        consistency: str | None = None,
-        replica: int | None = None,
+        self, consistency: str, replica: None
     ) -> StalenessInfo:
-        consistency = self._resolve_consistency(consistency)
-        self._refuse_replica(replica)
-        bound = self._fleet["buffer_limit"] * self._fleet["n_nodes"]
         lag = 0
         if consistency == "replica":
-            lag = sum(
-                pong["pending"] for pong in self._ping_sweep()
-            )
+            stamp = self.stamp(consistency, replica)
+            lag = sum(pending for _, _, pending in stamp)
         return StalenessInfo(
             consistency=consistency,
             replica=None,
             lag_events=lag,
-            bound_events=bound,
+            bound_events=(
+                self._fleet["buffer_limit"] * self._fleet["n_nodes"]
+            ),
             epoch=0,
         )
 
@@ -552,15 +552,9 @@ def _query_paths(root: str | Path) -> tuple[Path, Path, Path]:
 
 def load_query(root: str | Path) -> dict[str, Any]:
     """The ``query.json`` record of the daemon serving ``root``."""
-    record_path, _, _ = _query_paths(root)
-    try:
-        text = record_path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise StateError(
-            f"no query daemon is recorded under {record_path.parent} — "
-            "run 'cluster serve query up' first"
-        )
-    return json.loads(text)
+    return _load_record(
+        _query_paths(root)[0], "query daemon", "cluster serve query up"
+    )
 
 
 def query_up(
@@ -572,9 +566,9 @@ def query_up(
     """Launch the HTTP query daemon against the recorded fleet.
 
     Blocks until the daemon writes its ``query.json`` record (socket
-    bound, port chosen — the record-after-bind readiness marker) or
-    ``timeout`` passes, in which case the straggler is killed and the
-    launch fails pointing at the log.  Returns the record.
+    bound, port chosen — the record-after-bind readiness marker); if it
+    exits first or ``timeout`` passes, it is killed and the launch
+    fails pointing at the log.  Returns the record.
     """
     load_fleet(root)  # loud when there is no fleet to serve
     record_path, pid_path, log_path = _query_paths(root)
@@ -583,42 +577,30 @@ def query_up(
             f"a query daemon is already recorded in {record_path} — "
             "run 'cluster serve query down' before launching another"
         )
-    pid_path.unlink(missing_ok=True)
-    command = [
-        sys.executable,
-        "-m",
-        "repro.cluster.httpd",
-        "--fleet-dir",
-        str(root),
-        "--host",
-        host,
-        "--port",
-        str(port),
-        "--record",
-        str(record_path),
-        "--pidfile",
-        str(pid_path),
-    ]
-    with open(log_path, "ab") as log:
-        process = subprocess.Popen(
-            command,
-            stdin=subprocess.DEVNULL,
-            stdout=log,
-            stderr=log,
-            env=worker_environment(),
-            start_new_session=True,
-        )
-    deadline = time.monotonic() + timeout
-    while not record_path.exists():
-        if process.poll() is not None or time.monotonic() > deadline:
-            process.kill()
-            process.wait()
-            pid_path.unlink(missing_ok=True)
-            raise StateError(
-                f"query daemon did not become ready within "
-                f"{timeout:g}s — see {log_path}"
+    _spawn(
+        [
+            _Daemon(
+                "query daemon",
+                [
+                    "repro.cluster.httpd",
+                    "--fleet-dir",
+                    str(root),
+                    "--host",
+                    host,
+                    "--port",
+                    str(port),
+                    "--record",
+                    str(record_path),
+                    "--pidfile",
+                    str(pid_path),
+                ],
+                log_path,
+                record_path,
+                (pid_path,),
             )
-        time.sleep(_POLL_S)
+        ],
+        timeout,
+    )
     return json.loads(record_path.read_text(encoding="utf-8"))
 
 
@@ -660,23 +642,10 @@ def query_down(
     record = load_query(root)
     record_path, pid_path, _ = _query_paths(root)
     pid = _read_pid(pid_path) or record["pid"]
-    share = max(timeout / 2, _POLL_S)
     if not _pid_alive(pid):
         outcome = "already stopped"
     else:
-        outcome = "killed"
-        for sig, name in (
-            (signal.SIGTERM, "terminated"),
-            (signal.SIGKILL, "killed"),
-        ):
-            try:
-                os.kill(pid, sig)
-            except ProcessLookupError:
-                outcome = "stopped"
-                break
-            if _wait_dead(pid, share):
-                outcome = name
-                break
+        outcome = _signal_down(pid, max(timeout / 2, _POLL_S))
     record_path.unlink(missing_ok=True)
     pid_path.unlink(missing_ok=True)
     return {"pid": pid, "state": outcome}

@@ -12,9 +12,12 @@ Two transports are supported:
 * **Socket mode** (``--listen PATH``) — the worker binds a Unix socket
   and serves one coordinator connection at a time, accepting a new one
   when the previous coordinator detaches.  This is the long-running
-  daemon behind ``repro.cli cluster serve``; ``--pidfile`` records the
-  worker's pid once the socket is ready, which the serve lifecycle
-  (``up``/``ps``/``down``) uses as its readiness and liveness marker.
+  daemon behind ``repro.cli cluster serve`` and the socket that
+  ``ClusterReader.from_fleet`` reads; ``--init-json`` carries the
+  ``init`` frame body, applied before the socket is bound.
+  ``--pidfile`` records the worker's pid once the socket is ready,
+  which the serve lifecycle (``up``/``ps``/``down``) uses as its
+  readiness and liveness marker.
 
 The worker is deliberately *stateless with respect to durability*: the
 coordinator owns the write-ahead log, the checkpoint store, and the
@@ -36,6 +39,7 @@ reference (pinned by ``tests/cluster/test_pipeline.py``).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import socket
 import sys
@@ -56,14 +60,13 @@ class NodeWorker:
     """Frame handlers around one ingest node.
 
     One instance serves one worker process (either transport).  The
-    node may be constructed up front (socket daemons, which must be
-    ready before any coordinator attaches) or lazily by the first
-    ``init`` frame (pipe fleets, where the coordinator knows the
-    parameters).
+    node is built by :meth:`handle_init`: from the first ``init`` frame
+    (pipe fleets, where the coordinator knows the parameters) or from
+    ``--init-json`` before the socket is bound (socket daemons).
     """
 
-    def __init__(self, node: IngestNode | None = None) -> None:
-        self.node = node
+    def __init__(self) -> None:
+        self.node: IngestNode | None = None
         #: wall-clock stage timings, purely observational; the
         #: coordinator's telemetry facade discards them when disabled.
         self.timer = StageTimer()
@@ -369,24 +372,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the worker pid here once the socket is ready",
     )
     parser.add_argument(
-        "--node-id", type=int, default=None, help="node id (daemon mode)"
-    )
-    parser.add_argument(
-        "--template-json",
+        "--init-json",
         metavar="JSON",
         default=None,
-        help="CounterTemplate.to_dict() JSON (daemon mode)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="bank seed (daemon mode)"
-    )
-    parser.add_argument(
-        "--buffer-limit", type=int, default=512, help="coalescing buffer"
-    )
-    parser.add_argument(
-        "--no-track-truth",
-        action="store_true",
-        help="skip exact shadow counts",
+        help="body of the init frame, applied before serving (daemon mode)",
     )
     return parser
 
@@ -394,24 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Worker entrypoint; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    node: IngestNode | None = None
-    if args.node_id is not None:
-        if args.template_json is None:
-            print(
-                "repro-worker: --node-id needs --template-json",
-                file=sys.stderr,
-            )
-            return 2
-        import json
-
-        node = IngestNode(
-            args.node_id,
-            CounterTemplate.from_dict(json.loads(args.template_json)),
-            seed=args.seed,
-            buffer_limit=args.buffer_limit,
-            track_truth=not args.no_track_truth,
-        )
-    worker = NodeWorker(node)
+    worker = NodeWorker()
+    if args.init_json is not None:
+        worker.handle_init(json.loads(args.init_json))
     if args.listen is not None:
         return _serve_socket(worker, args.listen, args.pidfile)
     return _serve_pipe(worker)

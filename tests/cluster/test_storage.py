@@ -317,10 +317,12 @@ class TestBackendDeterminism:
     def test_crash_during_migration_bit_identical(self, tmp_path):
         """Same seed → bit-identical results for memory and file stores,
         with a crash scheduled right after a migration."""
-        memory = ClusterSimulation(_durable_config()).run(_events(18_000))
-        file_backed = ClusterSimulation(
+        with ClusterSimulation(_durable_config()) as simulation:
+            memory = simulation.run(_events(18_000))
+        with ClusterSimulation(
             _durable_config(tmp_path / "cluster")
-        ).run(_events(18_000))
+        ) as simulation:
+            file_backed = simulation.run(_events(18_000))
         assert memory.node_stats == file_backed.node_stats
         assert memory.top == file_backed.top
         assert memory.rms_relative_error == file_backed.rms_relative_error
@@ -335,12 +337,12 @@ class TestBackendDeterminism:
             failures=(NodeFailure(at_event=5001, node_id=0),),
             scale_events=(),
         )
-        memory = ClusterSimulation(
-            _durable_config(**overrides)
-        ).run(_events(15_000))
-        file_backed = ClusterSimulation(
+        with ClusterSimulation(_durable_config(**overrides)) as simulation:
+            memory = simulation.run(_events(15_000))
+        with ClusterSimulation(
             _durable_config(tmp_path / "cluster", **overrides)
-        ).run(_events(15_000))
+        ) as simulation:
+            file_backed = simulation.run(_events(15_000))
         assert memory.windows_collapsed == 2
         assert memory.node_stats == file_backed.node_stats
         assert memory.top == file_backed.top
@@ -354,12 +356,12 @@ class TestBackendDeterminism:
             wal_segment_events=512,
             template=default_template("simplified_ny"),
         )
-        memory = ClusterSimulation(
-            _durable_config(**overrides)
-        ).run(_events(12_000))
-        file_backed = ClusterSimulation(
+        with ClusterSimulation(_durable_config(**overrides)) as simulation:
+            memory = simulation.run(_events(12_000))
+        with ClusterSimulation(
             _durable_config(tmp_path / "cluster", **overrides)
-        ).run(_events(12_000))
+        ) as simulation:
+            file_backed = simulation.run(_events(12_000))
         assert memory.checkpoints == file_backed.checkpoints > 0
         assert memory.node_stats == file_backed.node_stats
 
@@ -368,43 +370,43 @@ class TestRecoverCluster:
     def test_recovers_pre_crash_view_bit_for_bit(self, tmp_path):
         """The acceptance scenario: exact templates, crash mid-migration,
         full recovery from the store directory alone."""
-        simulation = ClusterSimulation(_durable_config(tmp_path))
-        result = simulation.run(_events(18_000))
-        assert result.max_relative_error == 0.0
-        assert result.recoveries >= 1
-        before = _view_fingerprint(simulation.aggregator.global_view())
-        recovered = recover_cluster(str(tmp_path))
-        after = _view_fingerprint(recovered.aggregator.global_view())
+        with ClusterSimulation(_durable_config(tmp_path)) as simulation:
+            result = simulation.run(_events(18_000))
+            assert result.max_relative_error == 0.0
+            assert result.recoveries >= 1
+            before = _view_fingerprint(simulation.aggregator.global_view())
+        with recover_cluster(str(tmp_path)) as recovered:
+            after = _view_fingerprint(recovered.aggregator.global_view())
         assert before == after
 
     def test_recovered_topology_matches(self, tmp_path):
-        simulation = ClusterSimulation(_durable_config(tmp_path))
-        simulation.run(_events(18_000))
-        recovered = recover_cluster(str(tmp_path))
-        assert recovered.router.epoch == simulation.router.epoch
-        assert recovered.router.nodes == simulation.router.nodes
-        assert [n.node_id for n in recovered.nodes] == [
-            n.node_id for n in simulation.nodes
-        ]
-        # Recovery bumps every incarnation: replicas never share future
-        # coin flips with the dead cluster.
-        for node_id in recovered.router.nodes:
-            assert (
-                recovered._incarnation[node_id]
-                == simulation._incarnation[node_id] + 1
-            )
+        with ClusterSimulation(_durable_config(tmp_path)) as simulation:
+            simulation.run(_events(18_000))
+        with recover_cluster(str(tmp_path)) as recovered:
+            assert recovered.router.epoch == simulation.router.epoch
+            assert recovered.router.nodes == simulation.router.nodes
+            assert [n.node_id for n in recovered.nodes] == [
+                n.node_id for n in simulation.nodes
+            ]
+            # Recovery bumps every incarnation: replicas never share
+            # future coin flips with the dead cluster.
+            for node_id in recovered.router.nodes:
+                assert (
+                    recovered._incarnation[node_id]
+                    == simulation._incarnation[node_id] + 1
+                )
 
     def test_recovered_cluster_keeps_counting(self, tmp_path):
         """A recovered exact cluster keeps perfect counts for new
         traffic — recovery is a working cluster, not a read-only view."""
-        simulation = ClusterSimulation(_durable_config(tmp_path))
-        simulation.run(_events(18_000))
-        truth_before = simulation.aggregator.global_view().truth
-        recovered = recover_cluster(str(tmp_path))
+        with ClusterSimulation(_durable_config(tmp_path)) as simulation:
+            simulation.run(_events(18_000))
+            truth_before = simulation.aggregator.global_view().truth
         extra = [KeyedEvent("page-000000", 5), KeyedEvent("fresh-key", 7)]
-        for event in extra:
-            recovered.deliver_event(event)
-        view = recovered.aggregator.global_view()
+        with recover_cluster(str(tmp_path)) as recovered:
+            for event in extra:
+                recovered.deliver_event(event)
+            view = recovered.aggregator.global_view()
         assert view.estimate("fresh-key") == 7.0
         assert (
             view.estimate("page-000000")
@@ -412,8 +414,8 @@ class TestRecoverCluster:
         )
 
     def test_truncated_checkpoint_is_loud(self, tmp_path):
-        simulation = ClusterSimulation(_durable_config(tmp_path))
-        simulation.run(_events(18_000))
+        with ClusterSimulation(_durable_config(tmp_path)) as simulation:
+            simulation.run(_events(18_000))
         victim = sorted(tmp_path.glob("checkpoints/node-*.ckpt"))[0]
         line = victim.read_text()
         victim.write_text(line[: len(line) // 2])  # torn write
@@ -421,8 +423,8 @@ class TestRecoverCluster:
             recover_cluster(str(tmp_path))
 
     def test_bit_flipped_checkpoint_is_loud(self, tmp_path):
-        simulation = ClusterSimulation(_durable_config(tmp_path))
-        simulation.run(_events(18_000))
+        with ClusterSimulation(_durable_config(tmp_path)) as simulation:
+            simulation.run(_events(18_000))
         victim = sorted(tmp_path.glob("checkpoints/node-*.ckpt"))[0]
         line = victim.read_text()
         flipped = line.replace('"seed"', '"sEed"', 1)
