@@ -11,10 +11,11 @@
 #      the whole-cluster scenario bars in tests/cluster/test_scenarios.py)
 #   2. explicit doctest pass           (same tests, surfaced separately)
 #   3. docs link check                 (scripts/check_docs_links.py)
-#   4. resource-leak gate              (test_storage, test_query and
-#      test_httpd under python -X dev with ResourceWarning and
-#      unraisable-exception warnings as errors; test_serve.py stays
-#      out: fleet_up drops the Popen handles of running daemons)
+#   4. resource-leak gate              (test_storage, test_query,
+#      test_httpd, test_serve, test_pipeline, test_transport and
+#      test_scenarios under python -X dev with ResourceWarning and
+#      unraisable-exception warnings as errors: storage, reads, the
+#      detached serve daemons and the worker-process lifecycle)
 #   5. traced benchmark runs           (perfbench/run.py --trace 1 over
 #      the four workloads: every ledger wrapper still binds by name,
 #      and each run must report "correct": true)
@@ -61,7 +62,11 @@ python -X dev -m pytest -q \
   -W error::pytest.PytestUnraisableExceptionWarning \
   tests/cluster/test_storage.py \
   tests/cluster/test_query.py \
-  tests/cluster/test_httpd.py
+  tests/cluster/test_httpd.py \
+  tests/cluster/test_serve.py \
+  tests/cluster/test_pipeline.py \
+  tests/cluster/test_transport.py \
+  tests/cluster/test_scenarios.py
 
 if [ "$run_bench" -eq 1 ]; then
   echo

@@ -14,6 +14,10 @@ atomically-replaced file on disk — is the
 :class:`~repro.cluster.storage.CheckpointStore`'s concern: this module
 defines the record, :mod:`repro.cluster.storage` defines its durability.
 
+:func:`transfer_state` and :func:`install_transfer_state` move a node's
+*full* state between processes: a checkpoint line plus the volatile
+half (buffer and lifetime stats) a checkpoint does not carry.
+
 Restore semantics
 -----------------
 ``restore(seed=...)`` rebuilds the bank deterministically: counters are
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.analytics.counter_bank import CounterBank
-from repro.cluster.node import CounterTemplate
+from repro.cluster.node import CounterTemplate, IngestNode
 from repro.core.base import CounterSnapshot
 from repro.core.codec import (
     decode_checksummed_line,
@@ -43,7 +47,7 @@ from repro.core.codec import (
 )
 from repro.errors import StateError
 
-__all__ = ["BankCheckpoint"]
+__all__ = ["BankCheckpoint", "install_transfer_state", "transfer_state"]
 
 _FORMAT_VERSION = 1
 _CHECKSUM_SEED = 0xC1E5CB0A75E57A11
@@ -191,3 +195,21 @@ class BankCheckpoint:
 
     def __len__(self) -> int:
         return len(self.snapshots)
+
+
+def transfer_state(node: IngestNode) -> dict[str, Any]:
+    """``node``'s full state as wire fields: ``line`` (its bank's
+    checkpoint line) and ``volatile`` (buffer and lifetime stats)."""
+    line = BankCheckpoint.capture(
+        node.bank, node.template, meta={"transfer": True}
+    ).encode()
+    return {"line": line, "volatile": node.export_volatile()}
+
+
+def install_transfer_state(
+    node: IngestNode, state: Mapping[str, Any]
+) -> None:
+    """Make ``node`` an exact copy of a :func:`transfer_state` capture
+    (the bank restores on the captured seed)."""
+    node.adopt_bank(BankCheckpoint.decode(state["line"]).restore())
+    node.install_volatile(state["volatile"])

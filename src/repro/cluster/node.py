@@ -49,6 +49,8 @@ from repro.stream.workload import KeyedEvent
 __all__ = ["CounterTemplate", "IngestNode", "default_template"]
 
 _WINDOW_SEED_KEY = 0x77696E64  # "wind"
+#: The lifetime stats a checkpoint and a state transfer carry.
+_LIFETIME_STATS = ("events_ingested", "events_coalesced", "n_flushes")
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,32 @@ class IngestNode:
         self.events_ingested = 0
         self.events_coalesced = 0
         self.n_flushes = 0
+
+    def init_params(self) -> dict[str, Any]:
+        """The construction parameters, JSON-safe: the worker ``init``
+        frame body (inverse of :meth:`from_init`).
+
+        ``seed`` is the live bank's, so a node rebuilt from it carries
+        the incarnation and window derivations the bank already took.
+        """
+        return {
+            "node_id": self._node_id,
+            "template": self._template.to_dict(),
+            "seed": self._bank.seed,
+            "buffer_limit": self._buffer_limit,
+            "track_truth": self._bank.tracks_truth,
+        }
+
+    @classmethod
+    def from_init(cls, body: Mapping[str, Any]) -> "IngestNode":
+        """A fresh node built from :meth:`init_params` output."""
+        return cls(
+            int(body["node_id"]),
+            CounterTemplate.from_dict(body["template"]),
+            seed=int(body["seed"]),
+            buffer_limit=int(body["buffer_limit"]),
+            track_truth=bool(body["track_truth"]),
+        )
 
     # ------------------------------------------------------------------
     # identity and introspection
@@ -385,11 +413,7 @@ class IngestNode:
         return {
             "buffer": dict(self._buffer),
             "buffered": self._buffered,
-            "stats": {
-                "events_ingested": self.events_ingested,
-                "events_coalesced": self.events_coalesced,
-                "n_flushes": self.n_flushes,
-            },
+            "stats": self.lifetime_stats(),
         }
 
     def install_volatile(self, state: Mapping[str, Any]) -> None:
@@ -401,10 +425,25 @@ class IngestNode:
         buffer = state["buffer"]
         self._buffer = {str(key): int(count) for key, count in buffer.items()}
         self._buffered = int(state["buffered"])
-        stats = state["stats"]
-        self.events_ingested = int(stats["events_ingested"])
-        self.events_coalesced = int(stats["events_coalesced"])
-        self.n_flushes = int(stats["n_flushes"])
+        self.restore_lifetime_stats(state["stats"])
+
+    def lifetime_stats(self) -> dict[str, int]:
+        """``events_ingested``, ``events_coalesced`` and ``n_flushes``:
+        what a checkpoint's meta and a state transfer carry."""
+        return {name: getattr(self, name) for name in _LIFETIME_STATS}
+
+    def restore_lifetime_stats(self, stats: Mapping[str, Any]) -> None:
+        """Install :meth:`lifetime_stats` output; other keys are ignored
+        and a missing stat reads as 0 (checkpoints from stores that
+        predate the stats).
+
+        >>> node = IngestNode(0, CounterTemplate("exact"), seed=1)
+        >>> node.restore_lifetime_stats({"events_ingested": 5})
+        >>> node.lifetime_stats()
+        {'events_ingested': 5, 'events_coalesced': 0, 'n_flushes': 0}
+        """
+        for name in _LIFETIME_STATS:
+            setattr(self, name, int(stats.get(name, 0)))
 
     def reset(self, window: int = 1) -> None:
         """Start a new counting window: drop the buffer, fresh empty bank.

@@ -32,7 +32,10 @@ worker-count rule):
   each batch to the node's OS worker process (a :class:`WorkerFleet`
   of ``python -m repro.cluster.worker`` subprocesses fed over the
   checksummed frame protocol of :mod:`repro.cluster.transport`), while
-  the coordinator keeps all durable state.
+  the coordinator keeps all durable state.  Its ``drain`` pulls each
+  worker's state into the coordinator's mirror of that node, so a
+  checkpoint captures the mirror on the same code path as every other
+  plan.
 
 :meth:`~repro.cluster.simulation.ClusterSimulation.deliver_event` is
 one :meth:`StreamDriver.step` with inline delivery and a batch of one.
@@ -96,9 +99,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from threading import Lock
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from repro.cluster.checkpoint import BankCheckpoint
+from repro.cluster.checkpoint import install_transfer_state, transfer_state
 from repro.cluster.node import IngestNode
 from repro.cluster.rebalance import MigrationBatch
 from repro.cluster.transport import FrameStream
@@ -508,9 +511,10 @@ class WorkerFleet:
         return sorted(self._streams)
 
     def spawn(self, node: IngestNode) -> None:
-        """Launch and init one worker as a bit-copy of ``node``'s
-        construction parameters (the live bank seed carries incarnation
-        and window derivations with it)."""
+        """Launch one worker as an exact copy of ``node``: built from
+        its :meth:`~repro.cluster.node.IngestNode.init_params`, then
+        given its full state (what an earlier run, a recovery or a
+        migration left in it)."""
         if node.node_id in self._streams:
             raise StateError(
                 f"node {node.node_id} already has a worker process"
@@ -523,15 +527,8 @@ class WorkerFleet:
         )
         stream = FrameStream(proc.stdout, proc.stdin)
         try:
-            stream.request(
-                "init",
-                "ok",
-                node_id=node.node_id,
-                template=node.template.to_dict(),
-                seed=node.bank.seed,
-                buffer_limit=node.buffer_limit,
-                track_truth=node.bank.tracks_truth,
-            )
+            stream.request("init", "ok", **node.init_params())
+            stream.request("adopt_state", "ok", **transfer_state(node))
         except BaseException:
             proc.kill()
             proc.wait()
@@ -549,51 +546,29 @@ class WorkerFleet:
             events=[[event.key, event.count] for event in batch],
         )
 
-    def drain(self, node_id: int) -> None:
-        """Sync handshake: every shipped frame has been applied."""
-        self._streams[node_id].request("drain", "drain_ack")
-
-    def checkpoint(
-        self,
-        node_id: int,
-        meta: dict[str, Any],
-        topology: dict[str, Any],
-    ) -> str:
-        """Run the flush-and-capture half of a checkpoint in the
-        worker; returns the encoded line for the coordinator to save."""
-        reply = self._streams[node_id].request(
-            "checkpoint_fence",
-            "checkpoint_reply",
-            meta=meta,
-            topology=topology,
-        )
-        return str(reply["line"])
+    def drain(
+        self, node_ids: Sequence[int], mirrors: dict[int, IngestNode]
+    ) -> None:
+        """Pull ``node_ids``' workers into their mirrors: request every
+        snapshot first (the workers flush concurrently), then collect
+        and install them in order.  The pull is also the sync
+        handshake: a worker services frames in order, so its reply
+        covers every batch shipped before it."""
+        for node_id in node_ids:
+            self._streams[node_id].send("snapshot_request", flush=True)
+        for node_id in node_ids:
+            reply = self._streams[node_id].expect("snapshot_reply")
+            install_transfer_state(mirrors[node_id], reply)
 
     def pull_all(self, mirrors: dict[int, IngestNode]) -> None:
-        """Barrier pull: request every snapshot first (workers flush
-        concurrently), then collect and adopt in id order."""
-        ids = self.node_ids()
-        for node_id in ids:
-            self._streams[node_id].send("snapshot_request", flush=True)
-        for node_id in ids:
-            reply = self._streams[node_id].expect("snapshot_reply")
-            mirror = mirrors[node_id]
-            mirror.adopt_bank(
-                BankCheckpoint.decode(reply["line"]).restore()
-            )
-            mirror.install_volatile(reply["volatile"])
+        """Barrier pull: :meth:`drain` every worker."""
+        self.drain(self.node_ids(), mirrors)
 
-    def push(self, node_id: int, mirror: IngestNode) -> None:
-        """Install ``mirror``'s full state into the worker (crash
-        recovery, window reset)."""
-        line = BankCheckpoint.capture(
-            mirror.bank, mirror.template, meta={"transfer": True}
-        ).encode()
-        self._streams[node_id].request(
-            "adopt_state",
-            "ok",
-            line=line,
-            volatile=mirror.export_volatile(),
+    def push(self, mirror: IngestNode) -> None:
+        """Install ``mirror``'s full state into its live worker (after
+        a window reset)."""
+        self._streams[mirror.node_id].request(
+            "adopt_state", "ok", **transfer_state(mirror)
         )
 
     def ship_batch(
@@ -605,26 +580,20 @@ class WorkerFleet:
         """Replicate one migration batch into the fleet, in lockstep
         with the coordinator's in-process rebalance.
 
-        The source worker drains the moved keys (discarding its reply
-        — the coordinator's line is the authoritative wire record);
-        the target worker absorbs the coordinator's line on the same
-        ``(seed, epoch, key)``-derived streams as the mirror.  A
-        scale-up target without a worker yet is spawned lazily and
-        synced from its mirror first, covering batches the mirror
+        The source worker drains the moved keys; the target worker
+        absorbs the coordinator's line (the authoritative wire record)
+        on the same ``(seed, epoch, key)``-derived streams as the
+        mirror.  A scale-up target without a worker yet is spawned
+        lazily as a copy of its mirror, covering batches the mirror
         already absorbed.
         """
         batch = MigrationBatch.decode(line)
         if batch.source in self._streams:
             self._streams[batch.source].request(
-                "migrate_out",
-                "migrate_reply",
-                keys=sorted(batch.snapshots),
-                target=batch.target,
-                epoch=batch.epoch,
+                "migrate_out", "ok", keys=sorted(batch.snapshots)
             )
         if batch.target not in self._streams:
             self.spawn(mirrors[batch.target])
-            self.push(batch.target, mirrors[batch.target])
         self._streams[batch.target].request(
             "absorb", "ok", line=line, seed=seed
         )
@@ -687,16 +656,17 @@ class FleetBackend(DeliveryBackend):
     """Batches shipped to one OS worker process per node.
 
     Workers own compute state (bank, coalescing buffer, lifetime
-    stats); the coordinator's nodes become *mirrors*, synced from the
-    workers at every barrier, so checkpoints, migrations, retention
-    collapses, and crash recovery reuse the simulation's code paths.
-    The coordinator owns all durable state: it WAL-appends every batch
-    before shipping it (recovery never trusts a worker), saves
-    checkpoint lines captured *in* the worker through the
-    :meth:`~repro.cluster.simulation.ClusterSimulation.
-    set_checkpoint_capture` delegate, journals migrations, and writes
-    the manifest.  A scheduled crash really SIGKILLs the worker; the
-    mirror recovers by checkpoint + WAL replay and seeds a fresh one.
+    stats); the coordinator's nodes become *mirrors*, pulled from the
+    workers (one ``snapshot_request`` with ``flush=true`` per node) at
+    every per-node checkpoint fence and at the barriers that read
+    every node, so checkpoints, migrations, retention collapses, and
+    crash recovery run the simulation's own code on the mirrors.  The
+    coordinator owns all durable state: it WAL-appends every batch
+    before shipping it (recovery never trusts a worker), saves the
+    checkpoints it captures from the synced mirrors, journals
+    migrations, and writes the manifest.  A scheduled crash really
+    SIGKILLs the worker; the mirror recovers by checkpoint + WAL replay
+    and seeds a fresh one.
     """
 
     def __init__(self, simulation: "ClusterSimulation") -> None:
@@ -713,7 +683,6 @@ class FleetBackend(DeliveryBackend):
         except BaseException:
             self._fleet.terminate()
             raise
-        self._simulation.set_checkpoint_capture(self._fleet.checkpoint)
         return self
 
     def __exit__(self, exc_type: object, *exc_info: object) -> None:
@@ -726,16 +695,15 @@ class FleetBackend(DeliveryBackend):
             # Hard unwind: SIGKILL whatever a failure left running
             # (nothing, after a clean shutdown).
             self._fleet.terminate()
-            simulation.set_checkpoint_capture(None)
-            simulation.set_migration_observer(None)
 
     def send(self, node_id: int, batch: list[KeyedEvent]) -> None:
         self._log(node_id, batch)
         self._fleet.deliver(node_id, batch)
 
     def drain(self, node_ids: Sequence[int]) -> None:
-        for node_id in node_ids:
-            self._fleet.drain(node_id)
+        # Only a per-node checkpoint fence drains: pull the workers into
+        # their mirrors, which the checkpoint then captures.
+        self._fleet.drain(node_ids, self._mirrors())
 
     @contextmanager
     def barrier(self, resync: bool) -> Iterator[None]:
@@ -744,29 +712,21 @@ class FleetBackend(DeliveryBackend):
         Boundary collapses and scale events first pull the mirrors from
         the workers (pull-with-flush — the stream position where the
         serial loop flushes), then run the simulation's own operation
-        against the mirrors with the worker capture delegate *off* (the
-        mirrors are the ground truth at a synced barrier); the step
-        hooks below re-sync the fleet.  Crashes skip the pull on
-        purpose: the WAL is the authoritative replay source, exactly as
-        in a real death.
+        against the mirrors; the step hooks below re-sync the fleet.
+        Crashes skip the pull on purpose: the WAL is the authoritative
+        replay source, exactly as in a real death.
         """
-        simulation = self._simulation
         if resync:
             self._fleet.pull_all(self._mirrors())
-        simulation.set_checkpoint_capture(None)
-        try:
-            yield
-        finally:
-            simulation.set_checkpoint_capture(self._fleet.checkpoint)
+        yield
 
     def collapse_window(self) -> None:
         self._simulation.collapse_window()
         # Every mirror was reset onto a fresh window-derived seed; push
         # the reset state so workers resume bit-aligned (a full resync
         # point even on approximate templates).
-        mirrors = self._mirrors()
-        for node_id in self._fleet.node_ids():
-            self._fleet.push(node_id, mirrors[node_id])
+        for mirror in self._simulation.nodes:
+            self._fleet.push(mirror)
 
     def apply_scale(self, scale: "ScaleEvent") -> None:
         simulation = self._simulation
@@ -781,12 +741,9 @@ class FleetBackend(DeliveryBackend):
         self._fleet.reconcile(self._mirrors(), simulation.telemetry)
 
     def apply_failure(self, failure: "NodeFailure") -> None:
-        node_id = failure.node_id
-        self._fleet.kill(node_id)
+        self._fleet.kill(failure.node_id)
         self._simulation.apply_failure(failure)
-        mirror = self._mirrors()[node_id]
-        self._fleet.spawn(mirror)
-        self._fleet.push(node_id, mirror)
+        self._fleet.spawn(self._mirrors()[failure.node_id])
 
 
 class ExecutionPlan(abc.ABC):

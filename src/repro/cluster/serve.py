@@ -15,7 +15,8 @@ Layout under ``<root>/serve/``::
     node-<id>.log     the worker's captured stderr
 
 Every worker is a ``python -m repro.cluster.worker --listen ...``
-daemon (``start_new_session=True``, so it outlives the CLI process)
+daemon, started in its own session by a launcher process that exits
+at once (so it outlives the CLI process and is nobody's child),
 seeded with :func:`~repro.cluster.simulation.node_seed` — the same
 derivation the in-process simulation uses, so state moves freely
 between deployment modes.  The pidfile doubles as the readiness
@@ -61,7 +62,7 @@ from typing import Any, Iterator, NamedTuple
 from repro.cluster.aggregator import FoldMemo, GlobalView, fold_banks
 from repro.cluster.checkpoint import BankCheckpoint
 from repro.cluster.entities import StalenessInfo
-from repro.cluster.node import CounterTemplate
+from repro.cluster.node import CounterTemplate, IngestNode
 from repro.cluster.pipeline import worker_environment
 from repro.cluster.simulation import node_seed
 from repro.cluster.transport import FrameStream
@@ -100,22 +101,14 @@ def _worker_paths(base: Path, node_id: int) -> tuple[Path, Path, Path]:
 
 
 def _pid_alive(pid: int) -> bool:
-    # When the worker is our own child (the launching process is still
-    # around), a dead worker lingers as a zombie that signal 0 would
-    # report alive — reap it first.  ECHILD means it was launched by
-    # another process (the normal daemon case); signal 0 decides then.
-    try:
-        reaped, _ = os.waitpid(pid, os.WNOHANG)
-        if reaped == pid:
-            return False
-    except ChildProcessError:
-        pass
+    # Daemons are never our children (see _spawn), so a dead one is
+    # reaped by init and signal 0 alone decides.
     try:
         os.kill(pid, 0)
     except ProcessLookupError:
         return False
     except PermissionError:  # pragma: no cover - exists, not ours
-        return True
+        pass
     return True
 
 
@@ -156,32 +149,41 @@ class _Daemon(NamedTuple):
     leftovers: tuple[Path, ...]
 
 
-def _spawn(
-    daemons: list[_Daemon], timeout: float
-) -> list[subprocess.Popen[bytes]]:
-    """Start every daemon in its own session and wait until all are
-    ready; if one is not, all are killed and the launch fails whole."""
-    launched: list[subprocess.Popen[bytes]] = []
+#: Run by a short-lived launcher interpreter: start ``argv`` in its
+#: own session with stdout on the launcher's stderr (the daemon's log),
+#: print its pid, exit.  The daemon is orphaned at once, so the caller
+#: holds no handle on it and init reaps it when it dies.
+_DETACH = (
+    "import subprocess, sys; "
+    "print(subprocess.Popen(sys.argv[1:], stdout=2, "
+    "start_new_session=True).pid)"
+)
+
+
+def _spawn(daemons: list[_Daemon], timeout: float) -> list[int]:
+    """Start every daemon detached and wait until all are ready; if one
+    is not, all are stopped and the launch fails whole.  Returns the
+    daemons' pids."""
+    launched: list[int] = []
     try:
         for daemon in daemons:
             for stale in (daemon.marker, *daemon.leftovers):
                 stale.unlink(missing_ok=True)
+            argv = [sys.executable, "-m", *daemon.argv]
             with open(daemon.log, "ab") as log:
-                launched.append(
-                    subprocess.Popen(
-                        [sys.executable, "-m", *daemon.argv],
-                        stdin=subprocess.DEVNULL,
-                        stdout=log,
-                        stderr=log,
-                        env=worker_environment(),
-                        start_new_session=True,
-                    )
+                launcher = subprocess.run(
+                    [sys.executable, "-c", _DETACH, *argv],
+                    stdin=subprocess.DEVNULL,
+                    stdout=subprocess.PIPE,
+                    stderr=log,
+                    env=worker_environment(),
+                    check=True,
                 )
+            launched.append(int(launcher.stdout))
         _wait_ready(daemons, launched, timeout)
     except BaseException:
-        for process in launched:
-            process.kill()
-            process.wait()
+        for pid in launched:
+            _signal_down(pid, timeout)
         for daemon in daemons:
             for leftover in (daemon.marker, *daemon.leftovers):
                 leftover.unlink(missing_ok=True)
@@ -190,19 +192,16 @@ def _spawn(
 
 
 def _wait_ready(
-    daemons: list[_Daemon],
-    processes: list[subprocess.Popen[bytes]],
-    timeout: float,
+    daemons: list[_Daemon], pids: list[int], timeout: float
 ) -> None:
     """Wait for every marker; fail when a daemon exits or on timeout."""
     deadline = time.monotonic() + timeout
-    for daemon, process in zip(daemons, processes):
+    for daemon, pid in zip(daemons, pids):
         while not daemon.marker.exists():
-            if process.poll() is not None:
+            if not _pid_alive(pid):
                 raise StateError(
-                    f"{daemon.name} exited with status "
-                    f"{process.returncode} before becoming ready — see "
-                    f"{daemon.log}"
+                    f"{daemon.name} exited before becoming ready — "
+                    f"see {daemon.log}"
                 )
             if time.monotonic() > deadline:
                 raise StateError(
@@ -225,7 +224,7 @@ def fleet_up(
 
     Blocks until every worker's pidfile appears (socket bound and
     accepting).  When a worker exits first, or ``timeout`` seconds
-    pass, every worker is killed and the launch fails whole, pointing
+    pass, every worker is stopped and the launch fails whole, pointing
     at the failed worker's log.
     """
     if n_nodes < 1:
@@ -241,14 +240,13 @@ def fleet_up(
     workers: list[dict[str, Any]] = []
     for node_id in range(n_nodes):
         sock_path, pid_path, log_path = _worker_paths(base, node_id)
-        # The body of the ``init`` frame a pipe worker receives.
-        init = {
-            "node_id": node_id,
-            "template": template.to_dict(),
-            "seed": node_seed(seed, node_id),
-            "buffer_limit": buffer_limit,
-            "track_truth": track_truth,
-        }
+        init = IngestNode(
+            node_id,
+            template,
+            seed=node_seed(seed, node_id),
+            buffer_limit=buffer_limit,
+            track_truth=track_truth,
+        ).init_params()
         daemons.append(
             _Daemon(
                 f"worker for node {node_id}",
@@ -274,8 +272,8 @@ def fleet_up(
                 "log": str(log_path),
             }
         )
-    for record, process in zip(workers, _spawn(daemons, timeout)):
-        record["pid"] = process.pid
+    for record, pid in zip(workers, _spawn(daemons, timeout)):
+        record["pid"] = pid
     payload = {
         "version": 1,
         "seed": seed,
@@ -365,21 +363,32 @@ def fleet_down(
 ) -> list[dict[str, Any]]:
     """Stop every worker and forget the fleet; returns outcome rows.
 
-    Per worker: protocol shutdown first (the worker unlinks its own
-    socket and pidfile), then ``SIGTERM``, then ``SIGKILL`` — each
-    escalation only after the previous one failed to end the process
-    within its share of ``timeout``.  Always removes ``fleet.json``.
+    Every live worker is first asked for a protocol shutdown (the
+    worker unlinks its own socket and pidfile), so their exits
+    overlap; one that does not answer, or is not gone within its share
+    of ``timeout``, then gets ``SIGTERM`` and finally ``SIGKILL``.
+    Always removes ``fleet.json``.
     """
     base = fleet_paths(root)
-    fleet = load_fleet(root)
+    share = max(timeout / 2, _POLL_S)
+    workers = [
+        (record, _read_pid(Path(record["pidfile"])) or record["pid"])
+        for record in load_fleet(root)["workers"]
+    ]
+    answered = {
+        record["node"]: _ask_shutdown(record, share)
+        for record, pid in workers
+        if _pid_alive(pid)
+    }
     rows = []
-    for record in fleet["workers"]:
+    for record, pid in workers:
         node_id = record["node"]
-        pid = _read_pid(Path(record["pidfile"])) or record["pid"]
-        if not _pid_alive(pid):
+        if node_id not in answered:
             outcome = "already stopped"
+        elif answered[node_id] and _wait_dead(pid, share):
+            outcome = "stopped"
         else:
-            outcome = _stop_worker(record, pid, timeout)
+            outcome = _signal_down(pid, share)
         Path(record["socket"]).unlink(missing_ok=True)
         Path(record["pidfile"]).unlink(missing_ok=True)
         rows.append({"node": node_id, "pid": pid, "state": outcome})
@@ -387,21 +396,15 @@ def fleet_down(
     return rows
 
 
-def _stop_worker(
-    record: dict[str, Any], pid: int, timeout: float
-) -> str:
-    """Protocol shutdown → SIGTERM → SIGKILL; returns how it ended."""
-    share = max(timeout / 2, _POLL_S)
+def _ask_shutdown(record: dict[str, Any], timeout: float) -> bool:
+    """Protocol shutdown; whether the worker said ``bye``."""
     try:
-        with _connect(record, share) as stream:
+        with _connect(record, timeout) as stream:
             stream.send("shutdown")
             stream.expect("bye")
     except (StateError, OSError):
-        pass
-    else:
-        if _wait_dead(pid, share):
-            return "stopped"
-    return _signal_down(pid, share)
+        return False
+    return True
 
 
 def _signal_down(pid: int, share: float) -> str:
@@ -567,7 +570,7 @@ def query_up(
 
     Blocks until the daemon writes its ``query.json`` record (socket
     bound, port chosen — the record-after-bind readiness marker); if it
-    exits first or ``timeout`` passes, it is killed and the launch
+    exits first or ``timeout`` passes, it is stopped and the launch
     fails pointing at the log.  Returns the record.
     """
     load_fleet(root)  # loud when there is no fleet to serve

@@ -936,16 +936,6 @@ class ClusterSimulation:
         #: branch because ``_restore`` checkpoints nodes (which consults
         #: this set) before it rebuilds the membership layer.
         self._dead: set[int] = set()
-        #: Optional checkpoint-capture delegate installed by an
-        #: execution plan: ``(node_id, meta, topology) -> encoded
-        #: checkpoint line``.  The process plan points it at the node's
-        #: worker subprocess (which flushes, fills in the lifetime
-        #: stats, and captures its live bank); ``None`` means the
-        #: serial in-process path.  Durable bookkeeping — save, WAL
-        #: fence, manifest — always stays here in the coordinator.
-        self._checkpoint_capture: (
-            Callable[[int, dict[str, Any], dict[str, Any]], str] | None
-        ) = None
         #: Optional migration-batch observer: called with each encoded
         #: :class:`~repro.cluster.rebalance.MigrationBatch` line after
         #: it is journaled and before the in-process absorb.  The
@@ -1629,22 +1619,6 @@ class ClusterSimulation:
             every is not None and self._since_checkpoint[node_id] >= every
         ) or (segment is not None and retained >= segment)
 
-    def set_checkpoint_capture(
-        self,
-        capture: (
-            Callable[[int, dict[str, Any], dict[str, Any]], str] | None
-        ),
-    ) -> None:
-        """Install (or clear) the checkpoint-capture delegate.
-
-        Execution-plan hook: while set, :meth:`checkpoint_node` asks
-        ``capture(node_id, meta, topology)`` for the encoded checkpoint
-        line instead of flushing and capturing the in-process node —
-        the process plan's workers own the live banks.  Every durable
-        step (save, WAL fence, manifest sync) still runs here.
-        """
-        self._checkpoint_capture = capture
-
     def set_migration_observer(
         self, observer: Callable[[str], None] | None
     ) -> None:
@@ -1678,8 +1652,9 @@ class ClusterSimulation:
         telemetry = self._telemetry
         started = time.perf_counter() if telemetry.enabled else 0.0
         node = self._nodes[node_id]
+        node.flush()
         wal_seq = self._store.wal.sequence(node_id)
-        meta: dict[str, Any] = {
+        meta = {
             "node_id": node_id,
             "incarnation": self._incarnation[node_id],
             # The WAL fence position this checkpoint covers.  If the
@@ -1688,23 +1663,14 @@ class ClusterSimulation:
             # the covered events can never be replayed on top of
             # themselves (the torn-fence protocol).
             "wal_seq": wal_seq,
+            **node.lifetime_stats(),
         }
-        topology = self._topology_stamp()
-        if self._checkpoint_capture is not None:
-            # The plan's delegate owns the live bank (a worker
-            # subprocess): it flushes there, fills in the lifetime
-            # stats, and returns the encoded line.
-            line = self._checkpoint_capture(node_id, meta, topology)
-        else:
-            node.flush()
-            meta.update(
-                events_ingested=node.events_ingested,
-                events_coalesced=node.events_coalesced,
-                n_flushes=node.n_flushes,
-            )
-            line = BankCheckpoint.capture(
-                node.bank, node.template, meta=meta, topology=topology
-            ).encode()
+        line = BankCheckpoint.capture(
+            node.bank,
+            node.template,
+            meta=meta,
+            topology=self._topology_stamp(),
+        ).encode()
         self._store.save(node_id, line)
         self._store.wal.fence(node_id)
         self._since_checkpoint[node_id] = 0
@@ -1750,13 +1716,7 @@ class ClusterSimulation:
         if line is not None:
             checkpoint = BankCheckpoint.decode(line)
             node.adopt_bank(checkpoint.restore(seed=node.bank.seed))
-            node.events_ingested = int(
-                checkpoint.meta.get("events_ingested", 0)
-            )
-            node.events_coalesced = int(
-                checkpoint.meta.get("events_coalesced", 0)
-            )
-            node.n_flushes = int(checkpoint.meta.get("n_flushes", 0))
+            node.restore_lifetime_stats(checkpoint.meta)
             wal_seq = checkpoint.meta.get("wal_seq")
             if wal_seq is not None:
                 # Discard log entries the checkpoint already covers —

@@ -22,15 +22,18 @@ Message types
 ``init``/``ok``/``error`` bring a worker up and report failures;
 ``deliver_batch`` ships routed events (pipelined — no reply — so the
 hot path pays one frame per ``delivery_batch`` events, not one
-round-trip per event); ``drain``/``drain_ack`` is the sync handshake
-(a worker services frames in order, so the ack proves every prior
-batch has been applied); ``checkpoint_fence``/``checkpoint_reply``
-runs the flush-and-capture half of a checkpoint inside the worker;
-``snapshot_request``/``snapshot_reply`` and ``adopt_state`` move a
-node's full state (bank checkpoint line + volatile buffer) between
-coordinator and worker; ``migrate_out``/``migrate_reply`` and
-``absorb`` carry live key migration as
-:class:`~repro.cluster.rebalance.MigrationBatch` wire lines;
+round-trip per event); ``drain``/``drain_ack`` is the bare sync
+handshake a ``cluster serve`` client sends (a worker services frames in
+order, so the ack proves every prior batch has been applied);
+``snapshot_request``/``snapshot_reply`` and
+``adopt_state`` move a node's full state (bank checkpoint line +
+volatile buffer and lifetime stats) between coordinator and worker —
+a ``snapshot_request`` with ``flush=true`` is the pull that syncs the
+coordinator's mirror before it checkpoints or runs a barrier;
+``migrate_out`` (the source drops the moved keys) and ``absorb`` (the
+target merges the coordinator's
+:class:`~repro.cluster.rebalance.MigrationBatch` wire line) carry live
+key migration;
 ``metrics_pull``/``metrics_reply`` collects a worker's stage-timing
 snapshot; ``ping``/``pong`` is the liveness probe ``cluster serve
 status`` uses; ``shutdown``/``bye`` ends a worker cleanly.
@@ -89,13 +92,10 @@ FRAME_TYPES = frozenset(
         "deliver_batch",
         "drain",
         "drain_ack",
-        "checkpoint_fence",
-        "checkpoint_reply",
         "snapshot_request",
         "snapshot_reply",
         "adopt_state",
         "migrate_out",
-        "migrate_reply",
         "absorb",
         "metrics_pull",
         "metrics_reply",

@@ -23,10 +23,10 @@ The worker is deliberately *stateless with respect to durability*: the
 coordinator owns the write-ahead log, the checkpoint store, and the
 manifest, exactly as in the in-process plans — so `recover_cluster`
 and the torn-fence protocol are untouched by where the bank lives.  A
-worker holds only the live compute state (bank + coalescing buffer),
-and every durable record it produces (checkpoint lines via
-``checkpoint_fence``, migration batches via ``migrate_out``) travels
-back to the coordinator as checksummed lines, never touching disk here.
+worker holds only the live compute state (bank + coalescing buffer);
+the coordinator pulls it into its mirror node (``snapshot_request``)
+whenever it checkpoints, and computes every durable record there,
+never touching disk here.
 
 Determinism: a worker built from the same ``init`` parameters performs
 exactly the operations the serial loop would perform on that node —
@@ -46,8 +46,8 @@ import sys
 import time
 from typing import Any, BinaryIO
 
-from repro.cluster.checkpoint import BankCheckpoint
-from repro.cluster.node import CounterTemplate, IngestNode
+from repro.cluster.checkpoint import install_transfer_state, transfer_state
+from repro.cluster.node import IngestNode
 from repro.cluster.rebalance import MigrationBatch, absorb_batch
 from repro.cluster.transport import read_frame, write_frame
 from repro.errors import StateError
@@ -80,19 +80,10 @@ class NodeWorker:
         return self.node
 
     def handle_init(self, body: dict[str, Any]) -> dict[str, Any]:
-        """Build the node from its construction parameters.
-
-        The parameters mirror :class:`~repro.cluster.node.IngestNode`'s
-        constructor, so an initialized worker is bit-identical to the
-        node the serial loop would have built — RNG state included.
-        """
-        self.node = IngestNode(
-            int(body["node_id"]),
-            CounterTemplate.from_dict(body["template"]),
-            seed=int(body["seed"]),
-            buffer_limit=int(body["buffer_limit"]),
-            track_truth=bool(body["track_truth"]),
-        )
+        """Build the node from its :meth:`~repro.cluster.node.IngestNode.
+        init_params`, bit-identical to the coordinator's — RNG state
+        included."""
+        self.node = IngestNode.from_init(body)
         self.timer = StageTimer()
         return {"type": "ok"}
 
@@ -119,97 +110,46 @@ class NodeWorker:
             "events_ingested": node.events_ingested,
         }
 
-    def handle_checkpoint_fence(
-        self, body: dict[str, Any]
-    ) -> dict[str, Any]:
-        """Flush and capture, exactly like the serial checkpoint path.
-
-        The coordinator supplies the durability metadata it owns
-        (node id, incarnation, the WAL fence sequence); the worker
-        contributes the state only it knows — the flushed bank and the
-        lifetime stats — and returns the encoded checkpoint line for
-        the coordinator to save and fence.
-        """
-        node = self._require_node()
-        node.flush()
-        meta = dict(body["meta"])
-        meta.update(
-            events_ingested=node.events_ingested,
-            events_coalesced=node.events_coalesced,
-            n_flushes=node.n_flushes,
-        )
-        checkpoint = BankCheckpoint.capture(
-            node.bank,
-            node.template,
-            meta=meta,
-            topology=body.get("topology"),
-        )
-        return {"type": "checkpoint_reply", "line": checkpoint.encode()}
-
     def handle_snapshot_request(
         self, body: dict[str, Any]
     ) -> dict[str, Any]:
         """Ship the node's full state: checkpoint line + volatile half.
 
-        With ``flush=true`` the bank is flushed first — the barrier
-        pull, landing at exactly the stream position where the serial
-        loop flushes (window collapse, migration planning, end of
-        run); ``flush=false`` is a pure read (``serve status``).
+        With ``flush=true`` the bank is flushed first — the pull that
+        syncs a coordinator mirror, landing at exactly the stream
+        position where the serial loop flushes (a checkpoint fence,
+        window collapse, migration planning, end of run);
+        ``flush=false`` is a pure read (``serve status``).
         """
         node = self._require_node()
         if body.get("flush"):
             node.flush()
-        checkpoint = BankCheckpoint.capture(
-            node.bank, node.template, meta={"transfer": True}
-        )
         return {
             "type": "snapshot_reply",
             "node": node.node_id,
-            "line": checkpoint.encode(),
-            "volatile": node.export_volatile(),
+            **transfer_state(node),
         }
 
     def handle_adopt_state(self, body: dict[str, Any]) -> dict[str, Any]:
         """Install a full node state pushed by the coordinator.
 
-        Used after a crash (the coordinator recovers the mirror from
-        checkpoint + WAL replay, then pushes the result) and after a
-        window collapse (the reset, empty bank).  The restored bank
-        keeps the seed captured in the line, so worker and mirror stay
-        seed-aligned.
+        Used right after ``init`` (a spawned worker starts as a copy
+        of its coordinator node: fresh, recovered from checkpoint + WAL
+        replay, or carrying an earlier run) and after a window
+        collapse (the reset, empty bank).
         """
-        node = self._require_node()
-        checkpoint = BankCheckpoint.decode(body["line"])
-        node.adopt_bank(checkpoint.restore())
-        node.install_volatile(body["volatile"])
+        install_transfer_state(self._require_node(), body)
         return {"type": "ok"}
 
     def handle_migrate_out(self, body: dict[str, Any]) -> dict[str, Any]:
         """Drain the given keys out of this node (migration source).
 
-        Returns the worker's own encoded
-        :class:`~repro.cluster.rebalance.MigrationBatch` line — on
-        ``exact`` templates bit-identical to the line the coordinator
-        computed from its mirror, which the tests assert; ``None`` when
-        none of the keys were materialized here.
+        The coordinator's :class:`~repro.cluster.rebalance.
+        MigrationBatch` line, computed from its mirror, is the wire
+        record the target absorbs; the source only lets the keys go.
         """
-        node = self._require_node()
-        records = node.drain(str(key) for key in body["keys"])
-        if not records:
-            return {"type": "migrate_reply", "line": None}
-        tracked = all(truth is not None for _, _, truth in records)
-        batch = MigrationBatch(
-            source=node.node_id,
-            target=int(body["target"]),
-            epoch=int(body["epoch"]),
-            snapshots={key: snap for key, snap, _ in records},
-            truth=(
-                {key: truth for key, _, truth in records}
-                if tracked
-                else None
-            ),
-        )
-        return {"type": "migrate_reply", "line": batch.encode()}
+        self._require_node().drain(str(key) for key in body["keys"])
+        return {"type": "ok"}
 
     def handle_absorb(self, body: dict[str, Any]) -> dict[str, Any]:
         """Merge one migration batch line in (migration target).
@@ -257,7 +197,6 @@ class NodeWorker:
             "init": self.handle_init,
             "deliver_batch": self.handle_deliver_batch,
             "drain": self.handle_drain,
-            "checkpoint_fence": self.handle_checkpoint_fence,
             "snapshot_request": self.handle_snapshot_request,
             "adopt_state": self.handle_adopt_state,
             "migrate_out": self.handle_migrate_out,

@@ -182,3 +182,104 @@ class TestSubmitCounts:
         node.submit_counts([("a", 5), ("b", 5), ("c", 1)])
         assert node.n_flushes == 1
         assert node.pending == 1  # "c" arrived after the flush
+
+
+class TestNodeRecords:
+    """Each node record has one writer and one reader on IngestNode."""
+
+    def test_init_params_rebuild_the_node(self):
+        node = IngestNode(
+            5,
+            default_template("simplified_ny"),
+            seed=91,
+            buffer_limit=16,
+            track_truth=False,
+        )
+        clone = IngestNode.from_init(node.init_params())
+        assert clone.node_id == 5
+        assert clone.template == node.template
+        assert clone.bank.seed == 91
+        assert clone.buffer_limit == 16
+        assert clone.bank.tracks_truth is False
+        assert clone.init_params() == node.init_params()
+        pairs = [(event.key, event.count) for event in _weighted_events(2000)]
+        node.submit_counts(pairs)
+        clone.submit_counts(pairs)
+        node.flush()
+        clone.flush()
+        assert sorted(clone.bank.keys()) == sorted(node.bank.keys())
+        for key in node.bank.keys():
+            assert clone.estimate(key) == node.estimate(key)
+
+    def test_init_params_carry_the_live_bank_seed(self):
+        node = _node()
+        node.reset(window=3)
+        assert node.init_params()["seed"] == node.bank.seed != 7
+
+    def test_lifetime_stats_round_trip(self):
+        node = _node(buffer_limit=8)
+        node.submit_counts([("a", 5), ("a", 2), ("b", 5), ("c", 1)])
+        stats = node.lifetime_stats()
+        assert stats == {
+            "events_ingested": 13,
+            "events_coalesced": 1,
+            "n_flushes": 1,
+        }
+        fresh = _node()
+        fresh.restore_lifetime_stats(stats)
+        assert fresh.lifetime_stats() == stats
+        assert fresh.events_ingested == 13
+
+    def test_checkpoint_meta_without_stats_restores_zeros(self):
+        from repro.cluster.checkpoint import BankCheckpoint
+
+        node = _node()
+        node.submit(KeyedEvent("a", 4))
+        legacy = BankCheckpoint.capture(
+            node.bank, node.template, meta={"node_id": 0, "wal_seq": 3}
+        )
+        restored = _node()
+        restored.restore_lifetime_stats({"n_flushes": 9})
+        restored.restore_lifetime_stats(
+            BankCheckpoint.decode(legacy.encode()).meta
+        )
+        assert restored.lifetime_stats() == {
+            "events_ingested": 0,
+            "events_coalesced": 0,
+            "n_flushes": 0,
+        }
+
+    def test_recovery_reads_a_checkpoint_without_stats_as_zeros(self):
+        from repro.cluster import ClusterConfig, ClusterSimulation
+        from repro.cluster.checkpoint import BankCheckpoint
+
+        config = ClusterConfig(n_nodes=1, template=default_template("exact"))
+        with ClusterSimulation(config) as simulation:
+            simulation.run([KeyedEvent("a", 3), KeyedEvent("b", 2)])
+            line = simulation.checkpoint_node(0)
+            saved = BankCheckpoint.decode(line)
+            assert saved.meta["events_ingested"] == 5
+            legacy_meta = {
+                key: value
+                for key, value in saved.meta.items()
+                if key not in simulation.nodes[0].lifetime_stats()
+            }
+            simulation.store.save(
+                0,
+                BankCheckpoint(
+                    saved.template,
+                    saved.seed,
+                    saved.snapshots,
+                    saved.truth,
+                    legacy_meta,
+                    saved.topology,
+                ).encode(),
+            )
+            simulation.crash_node(0)
+            node = simulation.nodes[0]
+            assert node.lifetime_stats() == {
+                "events_ingested": 0,
+                "events_coalesced": 0,
+                "n_flushes": 0,
+            }
+            assert node.estimate("a") == 3.0
