@@ -11,7 +11,10 @@
 #      the whole-cluster scenario bars in tests/cluster/test_scenarios.py)
 #   2. explicit doctest pass           (same tests, surfaced separately)
 #   3. docs link check                 (scripts/check_docs_links.py)
-#   4. resource-leak gate              (test_storage, test_query,
+#   4. resource-leak gate              (test_storage, the durability
+#      suites test_manifest, test_legacy_store, test_wal_model,
+#      test_wal_fsync, test_crash_matrix, test_process_checkpoints,
+#      test_process_state and test_store_model, then test_query,
 #      test_httpd, test_serve, test_pipeline, test_transport and
 #      test_scenarios under python -X dev with ResourceWarning and
 #      unraisable-exception warnings as errors: storage, reads, the
@@ -61,6 +64,14 @@ python -X dev -m pytest -q \
   -W error::ResourceWarning \
   -W error::pytest.PytestUnraisableExceptionWarning \
   tests/cluster/test_storage.py \
+  tests/cluster/test_manifest.py \
+  tests/cluster/test_legacy_store.py \
+  tests/cluster/test_wal_model.py \
+  tests/cluster/test_wal_fsync.py \
+  tests/cluster/test_crash_matrix.py \
+  tests/cluster/test_process_checkpoints.py \
+  tests/cluster/test_process_state.py \
+  tests/cluster/test_store_model.py \
   tests/cluster/test_query.py \
   tests/cluster/test_httpd.py \
   tests/cluster/test_serve.py \

@@ -35,10 +35,10 @@ deployment:
 * :class:`~repro.cluster.checkpoint.BankCheckpoint` — whole-bank
   snapshot/restore built on :mod:`repro.core.codec` and stamped with the
   capturing topology, so a crashed node recovers deterministically;
-* :mod:`~repro.cluster.storage` — the durability layer:
-  :class:`~repro.cluster.storage.CheckpointStore` (in-process
-  ``MemoryStore`` or on-disk ``FileStore`` with atomic, checksummed
-  records) plus the write-ahead
+* :mod:`~repro.cluster.storage` — the durability layer: one
+  checkpoint store, :class:`~repro.cluster.storage.MemoryStore`, whose
+  records :class:`~repro.cluster.storage.FileStore` persists as atomic,
+  checksummed files, plus the write-ahead
   :class:`~repro.cluster.storage.SegmentedLog`, which bounds
   retained-log memory by forcing a fence checkpoint whenever a segment
   fills;
@@ -155,7 +155,6 @@ from repro.cluster.simulation import (
 )
 from repro.cluster.storage import (
     STORAGE_BACKENDS,
-    CheckpointStore,
     FileStore,
     MemoryStore,
     SegmentedLog,
@@ -167,7 +166,6 @@ __all__ = [
     "ALIVE",
     "BankCheckpoint",
     "CONFIRMED_DEAD",
-    "CheckpointStore",
     "ClusterConfig",
     "ClusterReader",
     "ClusterRouter",

@@ -9,10 +9,11 @@ metadata (node id, incarnation, events ingested).  The whole document is a
 single JSON line guarded by a seeded CRC-32 (see
 :func:`repro.core.codec.encode_checksummed_line`), so a truncated or
 corrupted checkpoint fails loudly instead of resurrecting a silently
-wrong node.  Where that line *lives* — process memory or an
-atomically-replaced file on disk — is the
-:class:`~repro.cluster.storage.CheckpointStore`'s concern: this module
-defines the record, :mod:`repro.cluster.storage` defines its durability.
+wrong node.  Where that line *lives* is the store's concern: the
+:class:`~repro.cluster.storage.MemoryStore` keeps it in process memory
+and its :class:`~repro.cluster.storage.FileStore` subclass also writes
+it to an atomically-replaced file on disk.  This module defines the
+record, :mod:`repro.cluster.storage` defines its durability.
 
 :func:`transfer_state` and :func:`install_transfer_state` move a node's
 *full* state between processes: a checkpoint line plus the volatile

@@ -601,13 +601,6 @@ class GossipNetwork:
             default=0,
         )
 
-    def known_origins(self) -> dict[int, tuple[int, ...]]:
-        """node id -> origins its digest covers (reporting helper)."""
-        return {
-            node_id: digest.origins
-            for node_id, digest in sorted(self._digests.items())
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"GossipNetwork(nodes={list(self.node_ids)}, "

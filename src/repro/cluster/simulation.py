@@ -23,12 +23,13 @@ bit-identical final estimates, crashes included.
 
 Durability
 ----------
-All checkpoint and durable-log bookkeeping flows through a pluggable
-:class:`~repro.cluster.storage.CheckpointStore`
-(``ClusterConfig.storage``): ``"memory"`` keeps everything in process
-(the historical behavior), ``"file"`` persists checkpoints, the
-write-ahead log, and a topology manifest under ``storage_dir`` so a
-simulation can be rebuilt from disk with :func:`recover_cluster`.
+All checkpoint and durable-log bookkeeping flows through one store,
+:class:`~repro.cluster.storage.MemoryStore` (``ClusterConfig.storage``):
+``"memory"`` keeps everything in process, ``"file"`` builds its
+:class:`~repro.cluster.storage.FileStore` subclass, which also persists
+checkpoints, the write-ahead log, the migration journal and a topology
+manifest under ``storage_dir`` so a simulation can be rebuilt from disk
+with :func:`recover_cluster`.
 ``wal_segment_events`` bounds the retained log: the
 :class:`~repro.cluster.storage.SegmentedLog` rolls fixed-size segments
 and the simulation takes a *forced* fence checkpoint whenever a segment
@@ -151,8 +152,8 @@ from repro.cluster.router import (
 )
 from repro.cluster.storage import (
     STORAGE_BACKENDS,
-    CheckpointStore,
     FileStore,
+    MemoryStore,
     make_store,
 )
 from repro.errors import ParameterError, StateError
@@ -879,7 +880,8 @@ class ClusterSimulation:
     and notebooks can drive topology changes by hand.
 
     ``store`` injects a prebuilt :class:`~repro.cluster.storage.
-    CheckpointStore` (defaults to one built from the config);
+    MemoryStore` or ``FileStore`` (defaults to one built from the
+    config);
     ``resume=True`` rebuilds the simulation from the store's persisted
     state instead of starting fresh — use :func:`recover_cluster` rather
     than passing it directly.
@@ -900,7 +902,7 @@ class ClusterSimulation:
     def __init__(
         self,
         config: ClusterConfig,
-        store: CheckpointStore | None = None,
+        store: MemoryStore | None = None,
         resume: bool = False,
         telemetry: Telemetry | None = None,
     ) -> None:
@@ -1347,7 +1349,7 @@ class ClusterSimulation:
         return self._aggregator
 
     @property
-    def store(self) -> CheckpointStore:
+    def store(self) -> MemoryStore:
         """The durability backend (checkpoints + write-ahead log)."""
         return self._store
 

@@ -3,20 +3,19 @@
 Recovery of any node is its latest checkpoint plus a replay of the
 events delivered since that checkpoint.  This module holds both halves:
 
-* :class:`CheckpointStore` — where the latest checkpoint line per node
-  lives, plus the cluster *manifest* (topology stamp, incarnations,
-  config echo) that recovery needs to rebuild a simulation.  Two
-  backends ship:
-
-  * :class:`MemoryStore` — process memory only; ``load`` (cold
-    recovery) is impossible.
-  * :class:`FileStore` — one directory per cluster.  Checkpoint lines
-    and the manifest are written atomically (write to a temp file,
-    then ``os.replace``) so a crash mid-write can never leave a torn
-    record, and every line is checksummed so corruption fails loudly
-    with :class:`~repro.errors.StateError`.  A simulation persisted
-    this way can be re-opened from disk with
-    :func:`~repro.cluster.simulation.recover_cluster`.
+* :class:`MemoryStore` — the one checkpoint store: the latest
+  checkpoint line per node, the migration journal and the paired
+  write-ahead log, all in process memory; ``load`` (cold recovery) is
+  impossible.  :class:`FileStore` extends it with persistence only:
+  one directory per cluster, holding the records plus the cluster
+  *manifest* (topology stamp, incarnations, config echo) that recovery
+  needs to rebuild a simulation.  Checkpoint lines and the manifest are
+  written atomically (write to a temp file, then ``os.replace``) so a
+  crash mid-write can never leave a torn record, and every line is
+  checksummed so corruption fails loudly with
+  :class:`~repro.errors.StateError`.  A simulation persisted this way
+  can be re-opened from disk with
+  :func:`~repro.cluster.simulation.recover_cluster`.
 
 * :class:`SegmentedLog` — the write-ahead log each store owns: per
   node, the list of events delivered since the node's last checkpoint
@@ -30,6 +29,7 @@ events delivered since that checkpoint.  This module holds both halves:
 Store layout of a :class:`FileStore` directory::
 
     <dir>/manifest.json            # checksummed topology + config stamp
+    <dir>/migration.journal        # in-flight migration batch lines
     <dir>/checkpoints/node-<id>.ckpt   # latest checkpoint line per node
     <dir>/wal/node-<id>/seg-<n>.log    # one delivered event per line
 
@@ -38,14 +38,13 @@ Determinism
 The storage backend must never change *what* a simulation computes, only
 where its durable state lives: the same config seed and event stream
 produce bit-identical results on :class:`MemoryStore` and
-:class:`FileStore` (a tier-1 invariant).  Both therefore share the same
-in-memory :class:`SegmentedLog` fence logic; the file backend only adds
-persistence side effects.
+:class:`FileStore` (a tier-1 invariant).  Both therefore keep the same
+in-memory records and :class:`SegmentedLog` fence logic, and every read
+answers from them; the file backend only adds persistence side effects.
 """
 
 from __future__ import annotations
 
-import abc
 import json
 import os
 import pathlib
@@ -62,7 +61,6 @@ from repro.stream.workload import KeyedEvent
 
 __all__ = [
     "SegmentedLog",
-    "CheckpointStore",
     "MemoryStore",
     "FileStore",
     "STORAGE_BACKENDS",
@@ -504,96 +502,16 @@ class _FileSegmentedLog(SegmentedLog):
 # ----------------------------------------------------------------------
 # checkpoint stores
 # ----------------------------------------------------------------------
-class CheckpointStore(abc.ABC):
-    """Latest-checkpoint-per-node storage plus the cluster manifest.
+class MemoryStore:
+    """Latest checkpoint line per node, the migration journal and the
+    paired write-ahead log, all in process memory.
 
-    A store owns a paired :class:`SegmentedLog` (:attr:`wal`): the two
-    together are the whole durability contract — recovery of any node is
-    ``latest(node_id)`` + ``wal.replay(node_id)``, and nothing else.
-    """
-
-    @property
-    @abc.abstractmethod
-    def wal(self) -> SegmentedLog:
-        """The write-ahead log paired with this store."""
-
-    @abc.abstractmethod
-    def initialize(self) -> None:
-        """Prepare for a *fresh* cluster, discarding any prior state."""
-
-    @abc.abstractmethod
-    def load(self) -> dict[str, Any]:
-        """Open existing durable state; returns the manifest.
-
-        Raises :class:`~repro.errors.StateError` when there is nothing
-        to recover or the persisted state is corrupt.
-        """
-
-    @abc.abstractmethod
-    def register(self, node_id: int) -> None:
-        """Start tracking a node (and register it with the WAL)."""
-
-    @abc.abstractmethod
-    def save(self, node_id: int, line: str) -> None:
-        """Durably record ``line`` as the node's latest checkpoint."""
-
-    @abc.abstractmethod
-    def latest(self, node_id: int) -> str | None:
-        """The node's latest checkpoint line (``None`` if never taken)."""
-
-    @abc.abstractmethod
-    def drop(self, node_id: int) -> None:
-        """Forget a retired node's checkpoint and WAL state."""
-
-    @abc.abstractmethod
-    def write_manifest(self, payload: Mapping[str, Any]) -> None:
-        """Durably record the cluster manifest (topology, incarnations)."""
-
-    @abc.abstractmethod
-    def journal_migration(self, line: str) -> None:
-        """Durably append one in-flight migration batch line.
-
-        Written *before* the batch is absorbed anywhere: between the
-        source drain and the first absorb a migrated counter exists in
-        no bank, no checkpoint, and no WAL — the journal is the only
-        durable copy, which is what lets recovery survive a death
-        mid-migration (replay the journal) instead of refusing via the
-        manifest's ``mid_migration`` flag.
-        """
-
-    @abc.abstractmethod
-    def pending_migrations(self) -> list[str]:
-        """Journaled batch lines not yet cleared, in journal order."""
-
-    @abc.abstractmethod
-    def clear_migration_journal(self) -> None:
-        """Discard the journal — the migration's fences are durable."""
-
-    def attach_telemetry(self, telemetry: Any) -> None:
-        """Forward a telemetry facade to the paired WAL.
-
-        Backends that rebuild their WAL (``initialize``/``load``) must
-        re-forward to the fresh instance; the base class remembers the
-        facade in ``self._telemetry`` for that purpose.  Observational
-        only — no storage decision ever reads from it.
-        """
-        self._telemetry = telemetry
-        self.wal.attach_telemetry(telemetry)
-
-    def storage_bytes(self) -> int:
-        """Bytes of durable state retained (checkpoints + WAL + manifest)."""
-        return 0
-
-    def close(self) -> None:
-        """Release backend resources (file handles)."""
-
-
-class MemoryStore(CheckpointStore):
-    """The historical in-process behavior, extracted behind the API.
-
-    Checkpoint lines live in a dict; the WAL is a :class:`SegmentedLog`
-    holding plain event lists.  The manifest is not kept: ``load``
-    always fails — process memory does not survive the process.
+    The store and its :class:`SegmentedLog` (:attr:`wal`) are the whole
+    durability contract: recovery of any node is ``latest(node_id)`` +
+    ``wal.replay(node_id)``, and nothing else.  The manifest is not
+    kept and ``load`` always fails: process memory does not survive the
+    process.  :class:`FileStore` keeps the same records and persists
+    them.
 
     >>> store = MemoryStore()
     >>> store.initialize()
@@ -610,61 +528,110 @@ class MemoryStore(CheckpointStore):
     """
 
     def __init__(self, wal_segment_events: int | None = None) -> None:
-        self._wal = SegmentedLog(wal_segment_events)
+        #: Telemetry facade (``repro.obs.Telemetry``) or None, forwarded
+        #: to every WAL the store opens; no storage decision reads it.
+        self._telemetry: Any = None
+        self._wal = self._new_wal(wal_segment_events)
+        #: node id -> latest checkpoint line (None until the first save).
         self._lines: dict[int, str | None] = {}
+        #: Journaled migration batch lines not yet cleared, in order.
         self._journal: list[str] = []
 
     @property
     def wal(self) -> SegmentedLog:
+        """The write-ahead log paired with this store."""
         return self._wal
 
+    def _new_wal(self, segment_events: int | None) -> SegmentedLog:
+        return SegmentedLog(segment_events)
+
+    def _reopen_wal(self, segment_events: int | None) -> None:
+        """Close the WAL and open a fresh one in its place."""
+        self._wal.close()
+        self._wal = self._new_wal(segment_events)
+        self._wal.attach_telemetry(self._telemetry)
+
+    def _require(self, node_id: int) -> None:
+        if node_id not in self._lines:
+            raise StateError(f"node {node_id} is not registered")
+
     def initialize(self) -> None:
-        self._wal = SegmentedLog(self._wal.segment_events)
-        self._wal.attach_telemetry(getattr(self, "_telemetry", None))
+        """Prepare for a *fresh* cluster, discarding any prior state."""
+        self._reopen_wal(self._wal.segment_events)
         self._lines = {}
         self._journal = []
 
     def load(self) -> dict[str, Any]:
+        """Open existing durable state; returns the manifest.
+
+        Raises :class:`~repro.errors.StateError` when there is nothing
+        to recover (always, in memory) or the persisted state is
+        corrupt.
+        """
         raise StateError("memory store has no durable state to recover")
 
     def register(self, node_id: int) -> None:
+        """Start tracking a node (and register it with the WAL)."""
         self._lines.setdefault(node_id, None)
         self._wal.register(node_id)
 
     def save(self, node_id: int, line: str) -> None:
-        if node_id not in self._lines:
-            raise StateError(f"node {node_id} is not registered")
+        """Record ``line`` as the node's latest checkpoint."""
+        self._require(node_id)
         self._lines[node_id] = line
 
     def latest(self, node_id: int) -> str | None:
-        try:
-            return self._lines[node_id]
-        except KeyError:
-            raise StateError(f"node {node_id} is not registered") from None
+        """The node's latest checkpoint line (``None`` if never taken)."""
+        self._require(node_id)
+        return self._lines[node_id]
 
     def drop(self, node_id: int) -> None:
+        """Forget a retired node's checkpoint and WAL state."""
         self._lines.pop(node_id, None)
         self._wal.drop(node_id)
 
     def write_manifest(self, payload: Mapping[str, Any]) -> None:
-        """Nothing to record: a memory cluster is never loaded back."""
+        """Record the cluster manifest (topology, incarnations); nothing
+        to record in memory, which is never loaded back."""
 
     def journal_migration(self, line: str) -> None:
+        """Append one in-flight migration batch line.
+
+        Written *before* the batch is absorbed anywhere: between the
+        source drain and the first absorb a migrated counter exists in
+        no bank, no checkpoint, and no WAL — the file store's journal is
+        the only durable copy, which is what lets recovery survive a
+        death mid-migration (replay the journal) instead of refusing via
+        the manifest's ``mid_migration`` flag.
+        """
         self._journal.append(line)
 
     def pending_migrations(self) -> list[str]:
+        """Journaled batch lines not yet cleared, in journal order."""
         return list(self._journal)
 
     def clear_migration_journal(self) -> None:
+        """Discard the journal — the migration's fences are durable."""
         self._journal = []
 
+    def attach_telemetry(self, telemetry: Any) -> None:
+        """Forward a telemetry facade to the paired WAL (and to every
+        WAL ``initialize``/``load`` reopen later).  Observational only."""
+        self._telemetry = telemetry
+        self._wal.attach_telemetry(telemetry)
+
     def storage_bytes(self) -> int:
+        """Bytes of retained state: checkpoint lines plus the WAL."""
         checkpoint_bytes = sum(
             len(line.encode("utf-8")) + 1
             for line in self._lines.values()
             if line is not None
         )
         return checkpoint_bytes + self._wal.storage_bytes()
+
+    def close(self) -> None:
+        """Release backend resources (the file WAL's handles)."""
+        self._wal.close()
 
 
 def _atomic_write(path: pathlib.Path, text: str) -> None:
@@ -674,13 +641,16 @@ def _atomic_write(path: pathlib.Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-class FileStore(CheckpointStore):
-    """One directory per cluster; every durable record is checksummed.
+class FileStore(MemoryStore):
+    """A :class:`MemoryStore` whose records persist in one directory.
 
-    Layout (see the module docstring): ``manifest.json`` at the root,
-    one ``checkpoints/node-<id>.ckpt`` per node (the latest checkpoint
-    line, replaced atomically), and a :class:`SegmentedLog` directory
-    per node under ``wal/``.  Checkpoint lines carry the
+    The inherited records stay the source every read answers from; this
+    class only writes them through to disk and reads them back in
+    :meth:`load`.  Layout (see the module docstring): ``manifest.json``
+    at the root, one ``checkpoints/node-<id>.ckpt`` per node (the latest
+    checkpoint line, replaced atomically), ``migration.journal`` (one
+    fsynced line per pending batch) and a :class:`SegmentedLog`
+    directory per node under ``wal/``.  Checkpoint lines carry the
     :class:`~repro.cluster.checkpoint.BankCheckpoint` checksum and the
     manifest its own, so a truncated or bit-flipped file raises
     :class:`~repro.errors.StateError` instead of resurrecting a silently
@@ -722,33 +692,21 @@ class FileStore(CheckpointStore):
         self._journal_path = self._dir / "migration.journal"
         self._overwrite = overwrite
         self._wal_fsync_every = wal_fsync_every
-        self._wal = _FileSegmentedLog(
-            self._wal_dir, wal_segment_events, wal_fsync_every
-        )
-        self._lines: dict[int, str | None] = {}
         self._manifest: dict[str, Any] | None = None
+        super().__init__(wal_segment_events)
 
     @property
     def directory(self) -> pathlib.Path:
         """The cluster's storage directory."""
         return self._dir
 
-    @property
-    def wal(self) -> SegmentedLog:
-        return self._wal
+    def _new_wal(self, segment_events: int | None) -> SegmentedLog:
+        return _FileSegmentedLog(
+            self._wal_dir, segment_events, self._wal_fsync_every
+        )
 
     def _checkpoint_path(self, node_id: int) -> pathlib.Path:
         return self._checkpoint_dir / f"node-{node_id}.ckpt"
-
-    def _reopen_wal(
-        self, segment_events: int | None, fsync_every: int | None
-    ) -> None:
-        """Close the WAL and open a fresh one over the same directory."""
-        self._wal.close()
-        self._wal = _FileSegmentedLog(
-            self._wal_dir, segment_events, fsync_every
-        )
-        self._wal.attach_telemetry(getattr(self, "_telemetry", None))
 
     def initialize(self) -> None:
         """Start a fresh cluster in the directory.
@@ -764,7 +722,7 @@ class FileStore(CheckpointStore):
                 "recover it with recover_cluster(), choose a fresh "
                 "directory, or pass overwrite=True to discard it"
             )
-        self._reopen_wal(self._wal.segment_events, self._wal_fsync_every)
+        super().initialize()
         shutil.rmtree(self._checkpoint_dir, ignore_errors=True)
         shutil.rmtree(self._wal_dir, ignore_errors=True)
         self._dir.mkdir(parents=True, exist_ok=True)
@@ -772,14 +730,15 @@ class FileStore(CheckpointStore):
         self._journal_path.unlink(missing_ok=True)
         self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self._wal_dir.mkdir(parents=True, exist_ok=True)
-        self._lines = {}
         self._manifest = None
 
     def load(self) -> dict[str, Any]:
-        """Open a persisted cluster: manifest, checkpoints, WAL replay.
+        """Open a persisted cluster: manifest, checkpoints, WAL segments
+        and the migration journal, read back into the inherited records.
 
-        The WAL segment size is taken from the manifest's config echo,
-        so a recovered log fences exactly like the one that wrote it.
+        The WAL segment size and group commit are taken from the
+        manifest's config echo, so a recovered log fences exactly like
+        the one that wrote it.
         """
         if self._manifest is not None:
             return self._manifest
@@ -799,10 +758,8 @@ class FileStore(CheckpointStore):
             )
         manifest = dict(body)
         config_echo = manifest.get("config", {})
-        self._reopen_wal(
-            config_echo.get("wal_segment_events"),
-            config_echo.get("wal_fsync_every"),
-        )
+        self._wal_fsync_every = config_echo.get("wal_fsync_every")
+        self._reopen_wal(config_echo.get("wal_segment_events"))
         try:
             node_ids = [
                 int(node) for node in manifest["topology"]["nodes"]
@@ -819,32 +776,32 @@ class FileStore(CheckpointStore):
                 else None
             )
             self._wal.load(node_id)
+        if self._journal_path.exists():
+            text = self._journal_path.read_text(encoding="utf-8")
+            self._journal = [
+                line for line in text.splitlines() if line.strip()
+            ]
         self._manifest = manifest
         return manifest
 
     def register(self, node_id: int) -> None:
         self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
-        self._lines.setdefault(node_id, None)
-        self._wal.register(node_id)
+        super().register(node_id)
 
     def save(self, node_id: int, line: str) -> None:
-        if node_id not in self._lines:
-            raise StateError(f"node {node_id} is not registered")
+        """Durably record ``line`` as the node's latest checkpoint."""
+        # Not ``super().save``: ``perfbench/ledger.py`` times each
+        # class's own ``save`` as one span, which must not nest.
+        self._require(node_id)
         _atomic_write(self._checkpoint_path(node_id), line + "\n")
         self._lines[node_id] = line
 
-    def latest(self, node_id: int) -> str | None:
-        try:
-            return self._lines[node_id]
-        except KeyError:
-            raise StateError(f"node {node_id} is not registered") from None
-
     def drop(self, node_id: int) -> None:
         self._checkpoint_path(node_id).unlink(missing_ok=True)
-        self._lines.pop(node_id, None)
-        self._wal.drop(node_id)
+        super().drop(node_id)
 
     def write_manifest(self, payload: Mapping[str, Any]) -> None:
+        """Durably record the cluster manifest (topology, incarnations)."""
         body = dict(payload)
         body["manifest_version"] = _MANIFEST_VERSION
         _atomic_write(
@@ -862,15 +819,11 @@ class FileStore(CheckpointStore):
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-
-    def pending_migrations(self) -> list[str]:
-        if not self._journal_path.exists():
-            return []
-        text = self._journal_path.read_text(encoding="utf-8")
-        return [line for line in text.splitlines() if line.strip()]
+        super().journal_migration(line)
 
     def clear_migration_journal(self) -> None:
         self._journal_path.unlink(missing_ok=True)
+        super().clear_migration_journal()
 
     def storage_bytes(self) -> int:
         """Actual bytes on disk under the store directory."""
@@ -879,9 +832,6 @@ class FileStore(CheckpointStore):
             for path in self._dir.rglob("*")
             if path.is_file()
         )
-
-    def close(self) -> None:
-        self._wal.close()
 
 
 #: Backend registry for configs and CLI flags.
@@ -894,7 +844,7 @@ def make_store(
     directory: str | os.PathLike[str] | None = None,
     overwrite: bool = False,
     wal_fsync_every: int | None = None,
-) -> CheckpointStore:
+) -> MemoryStore:
     """Build a checkpoint store by backend name.
 
     ``directory``, ``overwrite`` and ``wal_fsync_every`` (group-commit
